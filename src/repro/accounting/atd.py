@@ -91,18 +91,9 @@ class AuxiliaryTagDirectory:
         return total_accesses / self.n_sampled_accesses
 
     @property
-    def tag_store(self):
-        """The underlying tag array (exposed for tests); a
-        :class:`~repro.sim.cache.SetAssocCache` unless an engine backend
-        swapped in an interface-compatible store."""
+    def tag_store(self) -> SetAssocCache:
+        """The underlying tag array (exposed for tests)."""
         return self._tags
-
-    def replace_tag_store(self, store) -> None:
-        """Swap in an interface-compatible tag store (the vectorized
-        engine's flat-array store), carrying current state across via
-        the shared ``state_dict`` format."""
-        store.load_state_dict(self._tags.state_dict())
-        self._tags = store
 
     def state_dict(self) -> dict:
         """Sparse tag array (non-empty sampled sets only) plus counters."""

@@ -143,7 +143,6 @@ def resume_simulation(
     spec: BenchmarkSpec | None = None,
     expected_descriptor: dict[str, Any] | None = None,
     bus=None,
-    engine: str = "reference",
 ) -> tuple[Simulation, dict[str, Any]]:
     """Rebuild a restored, ready-to-``run()`` Simulation from a file.
 
@@ -152,13 +151,6 @@ def resume_simulation(
     checkpoint was saved from — the op-replay cursor check catches
     divergence, but only coarsely).  ``expected_descriptor`` adds the
     config-hash refusal on top of the schema check.
-
-    ``engine`` picks the backend the resumed run continues under.  The
-    descriptor deliberately does *not* record the saving backend:
-    every backend serializes the identical state tree, so a checkpoint
-    written by the reference engine resumes under the vectorized one
-    and vice versa — engine choice is an execution detail, not part of
-    the experiment's identity.
 
     Returns ``(simulation, header)``.
     """
@@ -184,8 +176,6 @@ def resume_simulation(
         if "accountant" in state
         else NULL_ACCOUNTANT
     )
-    from repro.components.registry import resolve
-
-    sim = resolve("engine", engine)(machine, program, accountant, bus=bus)
+    sim = Simulation(machine, program, accountant, bus=bus)
     sim.load_state_dict(state)
     return sim, header

@@ -194,7 +194,6 @@ def _stack_run(args, spec, experiment, drain) -> int:
     if getattr(args, "llc_mb", None):
         machine = machine.with_llc_size(int(args.llc_mb * MB))
     run = experiment.run
-    engine = args.engine if args.engine is not None else run.engine
     hook = None
     if args.checkpoint:
         descriptor = cell_descriptor(
@@ -219,7 +218,6 @@ def _stack_run(args, spec, experiment, drain) -> int:
         # the drain wrapper turns the engine's checkpoint poll into the
         # SIGINT/SIGTERM drain point (saving first when --checkpoint)
         checkpoint=DrainableHook(hook, drain),
-        engine=engine,
     )
     print(render_stack(result.stack))
     print()
@@ -242,13 +240,7 @@ def _stack_resume(args, spec, experiment, drain) -> int:
                   f"{descriptor['benchmark']}, not {spec.full_name}",
                   file=sys.stderr)
             return 2
-        sim, header = resume_simulation(
-            args.resume_from, spec=spec,
-            engine=(
-                args.engine if args.engine is not None
-                else experiment.run.engine
-            ),
-        )
+        sim, header = resume_simulation(args.resume_from, spec=spec)
     except CheckpointError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -294,7 +286,6 @@ def _stack_resume(args, spec, experiment, drain) -> int:
         max_cycles=max_cycles,
         livelock_window=livelock_window,
         on_timeout="truncate" if max_cycles is not None else "raise",
-        engine=args.engine if args.engine is not None else run.engine,
     )
     ts = None if st_result.truncated else st_result.total_cycles
     stack = build_stack(spec.full_name, report, ts_cycles=ts)
@@ -324,7 +315,6 @@ def cmd_session(args) -> int:
             session = Session.from_checkpoint(
                 args.from_checkpoint,
                 experiment=args.config,
-                engine=args.engine,
                 events=args.events,
             )
         else:
@@ -336,7 +326,6 @@ def cmd_session(args) -> int:
                 args.benchmark, args.threads,
                 experiment=args.config,
                 scale=args.scale,
-                engine=args.engine,
                 max_cycles=args.max_cycles,
                 livelock_window=args.livelock_window,
                 events=args.events,
@@ -578,7 +567,6 @@ def cmd_sweep(args) -> int:
             else run.checkpoint_every
         ),
         checkpoint_dir=checkpoint_dir,
-        engine=args.engine if args.engine is not None else run.engine,
     )
     fault_plan = _parse_injections(args.inject)
     journal = SweepJournal(args.journal)
@@ -875,10 +863,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("stack", help="speedup stack for one benchmark")
     common(p, configurable=True)
-    p.add_argument("--engine", default=None, metavar="NAME",
-                   help="engine backend: reference (default) or "
-                        "vectorized (needs numpy; identical results, "
-                        "faster wall-clock)")
     p.add_argument("--checkpoint", metavar="PATH", default=None,
                    help="save engine checkpoints to this file")
     p.add_argument("--checkpoint-every", type=int, default=None,
@@ -974,10 +958,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--livelock-window", type=int, default=None,
                    help="watchdog: truncate after this many cycles without "
                         "forward progress")
-    p.add_argument("--engine", default=None, metavar="NAME",
-                   help="engine backend: reference (default) or "
-                        "vectorized (needs numpy; identical results, "
-                        "faster wall-clock)")
     p.add_argument("--inject", action="append", metavar="KIND@BENCH:N",
                    help=f"inject a fault into one cell; KIND is one of "
                         f"{', '.join(FAULT_KINDS)} (repeatable)")
@@ -1126,8 +1106,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="threads == cores (default: config's first count)")
     p.add_argument("--scale", type=float, default=None,
                    help="workload scale factor")
-    p.add_argument("--engine", default=None, metavar="NAME",
-                   help="engine backend: reference (default) or vectorized")
     p.add_argument("--max-cycles", type=int, default=None,
                    help="watchdog budget in simulated cycles")
     p.add_argument("--livelock-window", type=int, default=None,

@@ -32,7 +32,7 @@ from repro.checkpoint import (
 from repro.experiments.runner import BatchRunner, RunPolicy, run_accounted
 from repro.observability import MetricsRegistry, TimelineRecorder
 from repro.observability.events import EventBus
-from repro.observability.profiling import ENGINE_PREFIX, DeterministicProfiler
+from repro.observability.profiling import DeterministicProfiler
 from repro.observability.spans import SpanRecorder
 from repro.parallel import (
     ChunkingPolicy,
@@ -71,27 +71,6 @@ CKPT_INTERVAL = 50_000
 #: unenforced there instead of reporting a bogus failure)
 WARM_GATE_JOBS = 4
 WARM_GATE_MIN_SPEEDUP = 1.5
-
-#: the vectorized-engine acceptance gate: one warm-heavy cell must run
-#: at least this much faster under ``--engine vectorized`` than under
-#: the reference engine (identical results, enforced by assertion).
-#: The cell is deliberately warm-dominated — that is where the fused
-#: numpy warm kernel earns its keep; 10x is the aspirational target for
-#: fully batched workloads, the enforced floor is 3x.  Unenforceable
-#: (not failed) when numpy is absent.
-VEC_BENCHMARK = "fft"
-VEC_THREADS = 16
-VEC_SCALE = 0.2
-VEC_GATE_MIN_SPEEDUP = 3.0
-
-
-def _have_numpy() -> bool:
-    try:
-        import numpy  # noqa: F401
-    except ImportError:
-        return False
-    return True
-
 
 def _timed_sweep(cells, scale, policy, jobs, repeats):
     """Best-of-``repeats`` wall-clock for one sweep configuration."""
@@ -145,70 +124,6 @@ def _bench_fast_forward(scale, max_cycles, repeats):
         "wall_s_off": round(timings[False], 4),
         "speedup": round(timings[False] / timings[True], 3),
         "total_cycles": cycles[True],
-    }
-
-
-def _bench_engine_vec(repeats, max_cycles=DEFAULT_MAX_CYCLES):
-    """One warm-heavy accounted cell under each engine backend.
-
-    Both engines must report the same simulated time and instruction
-    count (the differential test suite holds them byte-identical on the
-    full state tree; the bench re-checks the cheap invariants).  The
-    gate mirrors the warm-worker one: ``enforced`` is False when numpy
-    is missing, with ``met = None`` so downstream checks distinguish
-    "failed" from "host can't tell".
-    """
-    cell = f"{VEC_BENCHMARK}:{VEC_THREADS}"
-    gate = {
-        "min_speedup": VEC_GATE_MIN_SPEEDUP,
-        "aspirational_speedup": 10.0,
-        "enforced": False,
-        "met": None,
-        "note": None,
-    }
-    if not _have_numpy():
-        gate["note"] = (
-            "numpy not installed; the vectorized engine is unavailable "
-            "(pip install 'repro[vectorized]')"
-        )
-        return {"cell": cell, "gate": gate}
-    spec = by_name(VEC_BENCHMARK)
-    machine = MachineConfig(n_cores=VEC_THREADS)
-    timings = {}
-    observed = {}
-    for engine in ("reference", "vectorized"):
-        best = None
-        for _ in range(repeats):
-            program = build_program(spec, VEC_THREADS, scale=VEC_SCALE)
-            start = time.perf_counter()
-            result, _report = run_accounted(
-                machine, program, max_cycles=max_cycles,
-                on_timeout="truncate", engine=engine,
-            )
-            elapsed = time.perf_counter() - start
-            best = elapsed if best is None else min(best, elapsed)
-            observed[engine] = (result.total_cycles, result.total_instrs)
-        timings[engine] = best
-    assert observed["reference"] == observed["vectorized"], (
-        "engine backends disagree on simulated time/instructions — "
-        "the vectorized engine is unsound"
-    )
-    speedup = round(timings["reference"] / timings["vectorized"], 3)
-    gate["enforced"] = True
-    gate["met"] = speedup >= VEC_GATE_MIN_SPEEDUP
-    gate["note"] = (
-        "3x is the enforced floor on this warm-heavy cell; 10x is the "
-        "aspirational target for fully batched workloads"
-    )
-    return {
-        "cell": cell,
-        "scale": VEC_SCALE,
-        "wall_s_reference": round(timings["reference"], 4),
-        "wall_s_vectorized": round(timings["vectorized"], 4),
-        "speedup": speedup,
-        "total_cycles": observed["reference"][0],
-        "results_identical": True,
-        "gate": gate,
     }
 
 
@@ -270,7 +185,7 @@ def _bench_observability(scale, max_cycles, repeats):
     }
 
 
-def _bench_profile(scale, max_cycles, top_n=15, engine="reference"):
+def _bench_profile(scale, max_cycles, top_n=15):
     """One accounted cell under the deterministic sampling profiler.
 
     Returns the BENCH ``profile`` section: total self-time, the top-N
@@ -278,14 +193,9 @@ def _bench_profile(scale, max_cycles, top_n=15, engine="reference"):
     loop — plus the full collapsed-stack text under ``"collapsed"``
     (callers write it to a ``.collapsed`` artifact and usually pop it
     from the JSON document, where it would dwarf everything else).
-
-    The section is tagged with the ``engine`` backend it ran under.
-    ``engine_inner_loop_pct`` widens its frame filter for non-reference
-    backends: ``repro.sim.engine`` (no trailing dot) covers both the
-    reference module and backend modules like ``engine_vec``.
     """
     spec = by_name(FF_BENCHMARK)
-    policy = RunPolicy(on_error="skip", max_cycles=max_cycles, engine=engine)
+    policy = RunPolicy(on_error="skip", max_cycles=max_cycles)
     runner = BatchRunner(policy=policy, scale=scale)
     profiler = DeterministicProfiler()
     start = time.perf_counter()
@@ -294,14 +204,10 @@ def _bench_profile(scale, max_cycles, top_n=15, engine="reference"):
     elapsed = time.perf_counter() - start
     section = {
         "cell": f"{FF_BENCHMARK}:{FF_THREADS}",
-        "engine": engine,
         "wall_s": round(elapsed, 4),
         "total_cycles": outcome.result.mt_result.total_cycles,
     }
-    prefix = ENGINE_PREFIX if engine == "reference" else "repro.sim.engine"
-    section.update(
-        profiler.profile_section(top_n=top_n, engine_prefix=prefix)
-    )
+    section.update(profiler.profile_section(top_n=top_n))
     section["collapsed"] = profiler.collapsed()
     return section
 
@@ -505,22 +411,11 @@ def run_bench(
         "engine_fast_forward": _bench_fast_forward(
             scale, max_cycles, repeats
         ),
-        "engine_vec": _bench_engine_vec(repeats),
         "observability": _bench_observability(scale, max_cycles, repeats),
         "checkpoint": _bench_checkpoint(max_cycles, repeats),
     }
     if profile:
-        prof = _bench_profile(scale, max_cycles)
-        if _have_numpy():
-            # same cell profiled under the vectorized backend: only the
-            # inner-loop share is kept (the full vectorized collapsed
-            # stacks would double the artifact for little insight)
-            vec_prof = _bench_profile(scale, max_cycles, engine="vectorized")
-            prof["engine_inner_loop_pct_by_backend"] = {
-                "reference": prof["engine_inner_loop_pct"],
-                "vectorized": vec_prof["engine_inner_loop_pct"],
-            }
-        doc["profile"] = prof
+        doc["profile"] = _bench_profile(scale, max_cycles)
     return doc
 
 
@@ -566,23 +461,6 @@ def render_bench(doc: dict) -> str:
         f"{ff['wall_s_off']:.3f}s -> {ff['wall_s_on']:.3f}s "
         f"({ff['speedup']:.2f}x, cycles identical)"
     )
-    vec = doc.get("engine_vec")
-    if vec is not None:
-        gate = vec["gate"]
-        if gate["enforced"]:
-            status = "met" if gate["met"] else "NOT met"
-            lines.append(
-                f"vectorized engine ({vec['cell']}): "
-                f"{vec['wall_s_reference']:.3f}s -> "
-                f"{vec['wall_s_vectorized']:.3f}s "
-                f"({vec['speedup']:.2f}x, results identical); "
-                f"gate >= {gate['min_speedup']:g}x: {status}"
-            )
-        else:
-            lines.append(
-                f"vectorized engine ({vec['cell']}): gate not enforced "
-                f"({gate['note']})"
-            )
     obs = doc.get("observability")
     if obs is not None:
         spans_txt = (

@@ -114,7 +114,6 @@ def run_accounted(
     on_timeout: str = "raise",
     bus=None,
     checkpoint=None,
-    engine: str = "reference",
 ) -> tuple[SimResult, AccountingReport]:
     """One multi-threaded run with the accounting hardware attached.
 
@@ -123,7 +122,6 @@ def run_accounted(
     an observability :class:`~repro.observability.events.EventBus` to
     both the engine and the accountant.  ``checkpoint`` arms a
     :class:`~repro.checkpoint.policy.CheckpointHook` on the engine.
-    ``engine`` picks the backend (results are backend-invariant).
 
     Hosted on :class:`~repro.session.kernel.SimulationKernel` — the
     batch path is the kernel's degenerate no-pause lifecycle, so this
@@ -132,7 +130,6 @@ def run_accounted(
     kernel = SimulationKernel(
         machine, program,
         accounted=True,
-        engine=engine,
         max_cycles=max_cycles,
         livelock_window=livelock_window,
         on_timeout=on_timeout,
@@ -149,7 +146,6 @@ def accounted_snapshot(
     max_cycles: int | None = None,
     livelock_window: int | None = None,
     on_timeout: str = "raise",
-    engine: str = "reference",
 ) -> dict:
     """One accounted run, returning the accountant's cumulative counter
     snapshot (:meth:`CycleAccountant.snapshot`).
@@ -162,7 +158,6 @@ def accounted_snapshot(
     kernel = SimulationKernel(
         machine, program,
         accounted=True,
-        engine=engine,
         max_cycles=max_cycles,
         livelock_window=livelock_window,
         on_timeout=on_timeout,
@@ -177,7 +172,6 @@ def run_reference(
     max_cycles: int | None = None,
     livelock_window: int | None = None,
     on_timeout: str = "raise",
-    engine: str = "reference",
 ) -> SimResult:
     """Single-threaded reference run of a one-thread program on one core
     of the same machine (no accounting hardware needed)."""
@@ -188,7 +182,6 @@ def run_reference(
     kernel = SimulationKernel(
         machine.with_cores(1), program,
         accounted=False,
-        engine=engine,
         max_cycles=max_cycles,
         livelock_window=livelock_window,
         on_timeout=on_timeout,
@@ -207,7 +200,6 @@ def run_experiment(
     bus=None,
     checkpoint=None,
     spans=None,
-    engine: str = "reference",
 ) -> ExperimentResult:
     """Full protocol: (optional) reference run, accounted run, stack.
 
@@ -217,9 +209,6 @@ def run_experiment(
     reference run is cheap to recompute and fully deterministic).
     ``spans`` (a :class:`~repro.observability.spans.SpanRecorder`)
     times the harness phases — ST reference, engine advance, harvest.
-    ``engine`` selects the backend for both runs; every backend
-    produces the same cycles and stacks, so the choice only changes
-    wall-clock time.
     """
     st_result = None
     ts = None
@@ -230,7 +219,6 @@ def run_experiment(
                 max_cycles=max_cycles,
                 livelock_window=livelock_window,
                 on_timeout=on_timeout,
-                engine=engine,
             )
         ts = None if st_result.truncated else st_result.total_cycles
     with maybe_span(spans, "engine.advance", cat="cell"):
@@ -241,7 +229,6 @@ def run_experiment(
             on_timeout=on_timeout,
             bus=bus,
             checkpoint=checkpoint,
-            engine=engine,
         )
     with maybe_span(spans, "harvest", cat="cell"):
         stack = build_stack(name, report, ts_cycles=ts)
@@ -316,9 +303,6 @@ class RunPolicy:
     livelock_window: int | None = None
     checkpoint_every: int | None = None
     checkpoint_dir: str | None = None
-    #: engine backend for every run of the sweep (backend-invariant
-    #: results; see repro.components.engines)
-    engine: str = "reference"
 
     def __post_init__(self) -> None:
         if self.on_error not in ON_ERROR_MODES:
@@ -372,7 +356,6 @@ class RunPolicy:
             livelock_window=run.livelock_window,
             checkpoint_every=run.checkpoint_every,
             checkpoint_dir=run.checkpoint_dir,
-            engine=run.engine,
         )
 
 
@@ -696,7 +679,6 @@ class BatchRunner:
                 kernel = SimulationKernel(
                     machine, mt_program,
                     accounted=True,
-                    engine=self.policy.engine,
                     max_cycles=self.policy.max_cycles,
                     livelock_window=self.policy.livelock_window,
                     on_timeout="truncate",
@@ -778,7 +760,6 @@ class BatchRunner:
             sim, header = resume_simulation(
                 hook.path, spec=spec,
                 expected_descriptor=hook.descriptor, bus=self.bus,
-                engine=self.policy.engine,
             )
         except CheckpointError as exc:
             logger.warning(
@@ -813,7 +794,6 @@ class BatchRunner:
                 max_cycles=self.policy.max_cycles,
                 livelock_window=self.policy.livelock_window,
                 on_timeout="truncate",
-                engine=self.policy.engine,
             )
             self._st_cache[key] = st_result
         return st_result

@@ -18,12 +18,11 @@ Determinism contract
 --------------------
 
 * **Stepping is free.**  ``step(N)`` then ``step(M)`` is byte-identical
-  to ``step(N+M)`` and to the one-shot batch run, on every engine
-  backend (pausing never mutates state; see ``Simulation.run``'s
-  ``pause_at``).  ``peek_stack`` is a pure read.
+  to ``step(N+M)`` and to the one-shot batch run (pausing never
+  mutates state; see ``Simulation.run``'s ``pause_at``).
+  ``peek_stack`` is a pure read.
 * **Snapshots are free.**  ``snapshot()`` → build a fresh session →
-  ``load()`` continues byte-identically, including across an
-  engine-backend hop (checkpoint state is backend-portable).
+  ``load()`` continues byte-identically.
 * **Perturbations fork the experiment.**  ``inject``/``swap`` are
   deterministic — replaying the same script gives the same numbers —
   but the perturbed run no longer corresponds to any
@@ -115,7 +114,6 @@ class Session:
         *,
         experiment: ExperimentConfig | str | Path | None = None,
         scale: float | None = None,
-        engine: str | None = None,
         max_cycles: int | None = None,
         livelock_window: int | None = None,
         events: bool = False,
@@ -134,8 +132,6 @@ class Session:
         workload, run = experiment.workload, experiment.run
         if scale is not None:
             workload = replace(workload, scale=scale)
-        if engine is not None:
-            run = replace(run, engine=engine)
         if max_cycles is not None:
             run = replace(run, max_cycles=max_cycles)
         if livelock_window is not None:
@@ -169,7 +165,6 @@ class Session:
         path: str | Path,
         *,
         experiment: ExperimentConfig | str | Path | None = None,
-        engine: str | None = None,
         events: bool = False,
     ) -> "Session":
         """Session continuing a checkpointed run.
@@ -188,7 +183,6 @@ class Session:
         saved = header["descriptor"]
         max_cycles = saved.get("max_cycles")
         livelock_window = saved.get("livelock_window")
-        resume_engine = "reference" if engine is None else engine
         if experiment is not None:
             experiment = _as_experiment(experiment)
             # Watchdog limits are run parameters, not experiment
@@ -216,14 +210,12 @@ class Session:
                 max_cycles = experiment.run.max_cycles
             if experiment.run.livelock_window is not None:
                 livelock_window = experiment.run.livelock_window
-            if engine is None:
-                resume_engine = experiment.run.engine
         bus = None
         if events:
             from repro.observability.events import EventBus
 
             bus = EventBus()
-        sim, header = resume_simulation(path, bus=bus, engine=resume_engine)
+        sim, header = resume_simulation(path, bus=bus)
         kernel = SimulationKernel.from_simulation(
             sim,
             max_cycles=max_cycles,
@@ -328,7 +320,6 @@ class Session:
         return {
             "benchmark": self.spec.full_name,
             "n_threads": self.n_threads,
-            "engine": self.kernel.engine,
             "cycle": self.cycle,
             "done": self.done,
             "threads_finished": finished,
@@ -344,7 +335,6 @@ class Session:
                 self.kernel.machine.with_cores(1),
                 build_program(self.spec, 1, scale=self.scale),
                 accounted=False,
-                engine=self.kernel.engine,
                 max_cycles=self.kernel.max_cycles,
                 livelock_window=self.kernel.livelock_window,
                 on_timeout=self.kernel.on_timeout,
@@ -493,7 +483,6 @@ class Session:
             machine,
             build_program(self.spec, n_threads, scale=cache.scale),
             accounted=True,
-            engine=self.kernel.engine,
             max_cycles=self.kernel.max_cycles,
             livelock_window=self.kernel.livelock_window,
             on_timeout=self.kernel.on_timeout,
@@ -527,6 +516,6 @@ class Session:
         )
         return (
             f"<Session {self.spec.full_name} n={self.n_threads} "
-            f"engine={self.kernel.engine} cycle={self.cycle:,} {state} "
+            f"cycle={self.cycle:,} {state} "
             f"({finished}/{self.n_threads} threads finished){perturbed}>"
         )

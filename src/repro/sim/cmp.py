@@ -104,7 +104,6 @@ class Chip:
         machine: MachineConfig,
         accountant=NULL_ACCOUNTANT,
         bus=None,
-        cache_factory=None,
     ) -> None:
         self.machine = machine
         self.accountant = accountant
@@ -113,16 +112,11 @@ class Chip:
         #: event when a MissBlocked handler is actually subscribed
         self.bus = bus
         self.n_cores = machine.n_cores
-        #: ``cache_factory(config) -> cache`` builds the L1/LLC tag
-        #: stores; engine backends substitute interface-compatible
-        #: stores here (the vectorized engine passes its flat-array
-        #: store).  Way-partitioned LLCs keep their dedicated class.
-        factory = SetAssocCache if cache_factory is None else cache_factory
-        self.l1d = [factory(machine.l1d) for _ in range(self.n_cores)]
+        self.l1d = [SetAssocCache(machine.l1d) for _ in range(self.n_cores)]
         if machine.llc_quotas is not None:
             self.llc = WayPartitionedCache(machine.llc, machine.llc_quotas)
         else:
-            self.llc = factory(machine.llc)
+            self.llc = SetAssocCache(machine.llc)
         self.directory = CoherenceDirectory(self.n_cores)
         self.memory = MainMemory(machine.dram)
         self.stats = [CoreStats() for _ in range(self.n_cores)]

@@ -53,6 +53,7 @@ from repro.osmodel.thread import (
     SpinContext,
 )
 from repro.sim.cmp import Chip
+from repro.sim.warmup import fused_warmup
 from repro.sync import primitives as sync_pc
 from repro.sync.primitives import BarrierState, LockState, SyncManager
 from repro.workloads.program import (
@@ -147,9 +148,6 @@ class SimResult:
 class Simulation:
     """Execute a :class:`Program` on a simulated CMP."""
 
-    #: registry name of this engine backend (subclasses override)
-    ENGINE_NAME = "reference"
-
     def __init__(
         self,
         machine: MachineConfig,
@@ -173,7 +171,7 @@ class Simulation:
         #: switches back to the one-op-per-iteration reference loop (the
         #: two must produce identical results — see tests/parallel/)
         self.fast_forward = fast_forward
-        self.chip = self._build_chip(machine, accountant, bus)
+        self.chip = Chip(machine, accountant, bus=bus)
         self.sync = SyncManager(
             program.n_threads,
             lock_fifo_handoff=getattr(program, "lock_fifo_handoff", False),
@@ -216,12 +214,6 @@ class Simulation:
         self._spin_threshold = (
             override if override is not None else machine.sync.spin_threshold
         )
-
-    def _build_chip(self, machine, accountant, bus) -> Chip:
-        """Engine-backend hook: construct the chip model.  Subclass
-        backends (``engine=vectorized``) substitute alternate cache
-        stores here; everything else about the chip stays shared."""
-        return Chip(machine, accountant, bus=bus)
 
     # ------------------------------------------------------------------
     # main loop
@@ -266,10 +258,10 @@ class Simulation:
         ``run()`` call; because the pause check is side-effect-free and
         every scheduling decision depends only on simulation state (all
         of which persists on the instance), any partition of a run into
-        pauses is byte-identical to the uninterrupted run.  Block
-        executors (instruction fast-forward, spin-horizon batching) may
-        overshoot ``pause_at``: the contract is "pause at the first
-        loop-top boundary at or after this cycle", not an exact cut.
+        pauses is byte-identical to the uninterrupted run.  The
+        instruction-block fast-forward may overshoot ``pause_at``: the
+        contract is "pause at the first loop-top boundary at or after
+        this cycle", not an exact cut.
         When both fire, the ``max_cycles`` watchdog wins over a pause.
         """
         if on_timeout not in ("raise", "truncate"):
@@ -453,10 +445,18 @@ class Simulation:
     def _warm_caches(self) -> None:
         """Untimed warmup: interleave the threads' working-set addresses
         round-robin through the cache hierarchy so LLC occupancy starts
-        from a fair steady state."""
+        from a fair steady state.
+
+        The fused kernel (:mod:`repro.sim.warmup`) computes the final
+        state in one pass; configurations it does not model fall back
+        to the per-line :meth:`~repro.sim.cmp.Chip.warm_line` loop."""
         warmup = self.program.warmup
-        if not warmup:
-            return
+        if warmup and not fused_warmup(self.chip, self.accountant, warmup):
+            self._warm_per_line()
+
+    def _warm_per_line(self) -> None:
+        """The reference warmup: one ``warm_line`` call per address."""
+        warmup = self.program.warmup
         n_cores = self.machine.n_cores
         warm_line = self.chip.warm_line
         iters = [iter(addrs) for addrs in warmup]

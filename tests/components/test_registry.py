@@ -23,10 +23,8 @@ class TestResolution:
         assert available("spin_detector") == ("li", "tian")
         assert available("page_policy") == ("closed", "open")
         assert available("scheduler") == ("earliest",)
-        assert available("engine") == ("reference", "vectorized")
         assert kinds() == (
-            "engine", "page_policy", "replacement", "scheduler",
-            "spin_detector",
+            "page_policy", "replacement", "scheduler", "spin_detector",
         )
 
     def test_resolve_returns_factory(self):

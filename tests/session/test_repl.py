@@ -69,16 +69,6 @@ def test_cli_session_scripted(capsys):
     assert "cholesky" in captured
 
 
-def test_cli_session_vectorized(capsys):
-    pytest.importorskip("numpy")
-    code = main([
-        "session", "cholesky", "-n", "4", "--scale", "0.05",
-        "--engine", "vectorized", "--run", "run; stack",
-    ])
-    assert code == 0
-    assert "cholesky" in capsys.readouterr().out
-
-
 def test_cli_session_from_checkpoint(tmp_path, capsys):
     path = tmp_path / "mid.ckpt"
     Session.from_config("cholesky", 4, scale=0.05).step(2_000).save(path)

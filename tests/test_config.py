@@ -234,6 +234,15 @@ class TestExperimentConfig:
                 {"machine": {"llc": {"sets": 128}}}
             )
 
+    def test_removed_run_engine_key_rejected(self):
+        # the engine selector was removed; configs naming it fail loudly
+        # instead of being silently mapped onto the one engine
+        with pytest.raises(
+            ConfigError, match="run: unknown key\\(s\\) engine"
+        ) as exc:
+            ExperimentConfig.from_dict({"run": {"engine": "reference"}})
+        assert exc.value.field == "run"
+
     def test_bad_component_name_reports_path_and_choices(self):
         with pytest.raises(ConfigError) as exc:
             ExperimentConfig.from_dict(
