@@ -11,8 +11,8 @@ plain frozen dataclasses so experiment sweeps can use
 sweep) without mutating shared state.
 
 Every string-valued policy field (``CacheConfig.replacement``,
-``AccountingConfig.spin_detector``, ``DramConfig.page_policy``,
-``SchedConfig.policy``) is validated against the component registry
+``AccountingConfig.spin_detector``, ``DramConfig.page_policy``) is
+validated against the component registry
 (:mod:`repro.components`) at construction time, so an unknown name fails
 immediately with the list of registered choices — and a policy
 registered by third-party code becomes a valid config value without any
@@ -177,7 +177,7 @@ class SyncConfig:
 
 @dataclass(frozen=True)
 class SchedConfig:
-    """Operating-system scheduler model plus the engine's core-pick policy."""
+    """Operating-system scheduler model."""
 
     timeslice_cycles: int = 100_000
     context_switch_cycles: int = 400
@@ -186,12 +186,6 @@ class SchedConfig:
     #: modelling the Linux scheduler being less efficient at high core
     #: counts (observed for ferret in Figure 7 of the paper).
     overhead_per_core_cycles: int = 4
-    #: engine core-pick order, resolved via the ``"scheduler"`` component
-    #: registry; built-in: "earliest" (smallest local clock first)
-    policy: str = "earliest"
-
-    def __post_init__(self) -> None:
-        _component_choice("scheduler", self.policy, "policy")
 
 
 @dataclass(frozen=True)

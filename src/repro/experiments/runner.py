@@ -140,6 +140,21 @@ def run_accounted(
     return result, kernel.report()
 
 
+def _advance(kernel: SimulationKernel, spans, warm: bool = True) -> SimResult:
+    """Run ``kernel`` to completion inside an ``engine.advance`` span,
+    timing its children: ``engine.warm`` (the cache warmup, a step to
+    cycle 0) and ``engine.loop`` (the rest).  ``warm=False`` is for an
+    already warm, checkpoint-restored run.  Without spans this is a
+    plain ``finish()``; a pause is invisible in the result."""
+    if spans is None:
+        return kernel.finish()
+    if warm:
+        with spans.span("engine.warm", "cell"):
+            kernel.step(-1)
+    with spans.span("engine.loop", "cell"):
+        return kernel.finish()
+
+
 def accounted_snapshot(
     machine: MachineConfig,
     program: Program,
@@ -222,14 +237,17 @@ def run_experiment(
             )
         ts = None if st_result.truncated else st_result.total_cycles
     with maybe_span(spans, "engine.advance", cat="cell"):
-        mt_result, report = run_accounted(
+        kernel = SimulationKernel(
             machine, mt_program,
+            accounted=True,
             max_cycles=max_cycles,
             livelock_window=livelock_window,
             on_timeout=on_timeout,
             bus=bus,
             checkpoint=checkpoint,
         )
+        mt_result = _advance(kernel, spans)
+        report = kernel.report()
     with maybe_span(spans, "harvest", cat="cell"):
         stack = build_stack(name, report, ts_cycles=ts)
     return ExperimentResult(
@@ -685,7 +703,7 @@ class BatchRunner:
                     bus=self.bus,
                     checkpoint=hook,
                 )
-            mt_result = kernel.finish()
+            mt_result = _advance(kernel, spans, warm=sim is None)
             report = kernel.report()
         if hook is not None and hook.path is not None and not mt_result.truncated:
             # clean completion: the checkpoint has nothing left to

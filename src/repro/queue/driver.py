@@ -288,6 +288,8 @@ def _supervise(
     started: set[str] = set()
     finished: set[str] = set()
     heartbeats_seen: dict[str, float] = {}
+    # a resumed queue's earlier reclaims were reported by their driver
+    _, reclaim_offset = store.reclaims_since(0)
     grace_s = max(5.0, 2 * store.lease_ttl_s)
     try:
         while True:
@@ -298,7 +300,8 @@ def _supervise(
                 )
                 fleet.terminate(grace_s)
                 return True
-            events = store.reclaim_expired()
+            store.reclaim_expired()
+            events, reclaim_offset = store.reclaims_since(reclaim_offset)
             _emit_reclaims(events, bus, metrics)
             _emit_transitions(store, started, finished, bus)
             _emit_heartbeats(store, heartbeats_seen, bus)

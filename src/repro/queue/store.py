@@ -13,6 +13,7 @@ directory at a time::
       quarantined/    # terminal: poison cells (N expired leases)
       workers/        # per-worker liveness heartbeats (advisory)
       chaos/          # one-shot markers for the fault-injection hooks
+      reclaims.jsonl  # every reclaim event, whoever reclaimed
 
 No external services, no locks, no fcntl: every state transition is an
 atomic ``os.rename`` out of the old state followed by an ``os.link``
@@ -65,6 +66,9 @@ logger = logging.getLogger(__name__)
 
 MANIFEST_VERSION = 1
 MANIFEST_NAME = "queue.json"
+#: append-only log of reclaim events: idle workers reclaim too, and
+#: the driver reports every expiry from here, not only its own
+RECLAIM_LOG = "reclaims.jsonl"
 
 #: cell states == directory names (terminal: done/failed/quarantined)
 PENDING = "pending"
@@ -556,7 +560,30 @@ class QueueStore:
                     delay, expiries, self.poison_after,
                 )
         events.extend(self._repair_orphans(now))
+        if events:
+            # one append per scan: small O_APPEND writes from several
+            # processes land whole, one line per event
+            with open(self.root / RECLAIM_LOG, "a") as handle:
+                handle.write("".join(
+                    json.dumps(asdict(event)) + "\n" for event in events
+                ))
         return events
+
+    def reclaims_since(self, offset: int) -> tuple[list[ReclaimEvent], int]:
+        """Reclaim events logged from byte ``offset`` on (complete lines
+        only), and the offset to read from next time."""
+        try:
+            with open(self.root / RECLAIM_LOG, "rb") as handle:
+                handle.seek(offset)
+                data = handle.read()
+        except FileNotFoundError:
+            return [], offset
+        end = data.rfind(b"\n") + 1
+        events = [
+            ReclaimEvent(**json.loads(line))
+            for line in data[:end].splitlines()
+        ]
+        return events, offset + end
 
     def _repair_orphans(self, now: float) -> list[ReclaimEvent]:
         states = self.states()

@@ -3,10 +3,20 @@
 The engine is a conservative discrete-event simulator: every core owns a
 local clock, and the engine repeatedly advances the runnable core with
 the *smallest* clock by one step (a compute chunk, one memory operation,
-one spin-loop iteration, or one scheduling action).  Because shared
-state — the memory hierarchy, lock/barrier state, run queues — is only
-touched at a step's start time, and steps execute in global start-time
-order, the simulation is causally consistent and fully deterministic.
+one spin-loop iteration, or one scheduling action), ties broken by core
+id.  Because shared state — the memory hierarchy, lock/barrier state,
+run queues — is only touched at a step's start time, and steps execute
+in global start-time order, the simulation is causally consistent and
+fully deterministic.
+
+The earliest core comes from the *frontier*: a min-heap of
+``(available time, core id, version)`` entries with lazy invalidation.
+Only the stepped core and the target of a wakeup change availability,
+so only they are re-keyed; the heap is rebuilt from the cores at every
+:meth:`Simulation.run` entry and is not part of the checkpointed state.
+Plain compute/memory ops of a running thread execute in a fused block
+inside :meth:`Simulation.run`, which keeps going while the core stays
+strictly earliest (before the next core's time, the *horizon*).
 
 The engine also embodies the OS model: per-core run queues, round-robin
 thread placement, timeslice preemption, and futex-style block/wakeup
@@ -21,9 +31,9 @@ from __future__ import annotations
 import logging
 from collections import deque
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 
 from repro.accounting.interface import NULL_ACCOUNTANT
-from repro.components.registry import resolve
 from repro.config import MachineConfig
 from repro.errors import (
     CheckpointError,
@@ -168,8 +178,8 @@ class Simulation:
         #: so the disabled run pays nothing on the per-op hot loop
         self.bus = bus
         #: instruction-block fast-forward through quiescent regions; off
-        #: switches back to the one-op-per-iteration reference loop (the
-        #: two must produce identical results — see tests/parallel/)
+        #: stops every fused op block after its first op (the two must
+        #: produce identical results — see tests/parallel/)
         self.fast_forward = fast_forward
         self.chip = Chip(machine, accountant, bus=bus)
         self.sync = SyncManager(
@@ -186,7 +196,13 @@ class Simulation:
             thread.core_id = core.core_id
             core.queue.append(thread)
         self._n_finished = 0
+        #: horizon of the latest pick: the earliest time any other core
+        #: can act (the next valid frontier entry)
         self._ff_limit = _INFINITY
+        #: the frontier: heap of (avail, core id, version) entries; an
+        #: entry is live while its version is the core's current one
+        self._frontier: list[tuple[int, int, int]] = []
+        self._version = [0] * machine.n_cores
         # Watchdog progress state lives on the instance (not as run()
         # locals) so a checkpoint restored mid-run resumes the stride
         # and livelock bookkeeping byte-identically.
@@ -204,7 +220,6 @@ class Simulation:
         # a new process-level run and re-announces itself, exactly as
         # the pre-pause engine did.
         self._sim_started = False
-        self._scheduler = resolve("scheduler", machine.sched.policy)(machine.sched)
         self._dispatch_cost = (
             machine.sched.context_switch_cycles
             + machine.sched.overhead_per_core_cycles * machine.n_cores
@@ -259,7 +274,7 @@ class Simulation:
         every scheduling decision depends only on simulation state (all
         of which persists on the instance), any partition of a run into
         pauses is byte-identical to the uninterrupted run.  The
-        instruction-block fast-forward may overshoot ``pause_at``: the
+        fused op block may overshoot ``pause_at``: the
         contract is "pause at the first loop-top boundary at or after
         this cycle", not an exact cut.
         When both fire, the ``max_cycles`` watchdog wins over a pause.
@@ -277,27 +292,47 @@ class Simulation:
             self.bus.emit(SimStarted(n_threads, self.machine.n_cores))
         self._sim_started = True
         steps = self._steps
+        cores = self.cores
+        chip = self.chip
+        compute, load, store = chip.compute, chip.load, chip.store
+        stats = chip.stats
+        width = self._width
+        heap = self._rebuild_frontier()
+        version = self._version
         while self._n_finished < n_threads:
-            core = self._pick_core()
-            if core is None:
+            # Pick the earliest core from the frontier (stale entries are
+            # dropped lazily), then the horizon from the next live entry.
+            while heap and heap[0][2] != version[heap[0][1]]:
+                heappop(heap)
+            if not heap:
                 blocked = [t.tid for t in self.threads if t.state == BLOCKED]
                 logger.error("deadlock: blocked threads %s", blocked)
                 if self.bus is not None:
                     self.bus.emit(DeadlockDetected(
-                        max(c.now for c in self.cores), tuple(blocked)
+                        max(c.now for c in cores), tuple(blocked)
                     ))
                 self._steps = steps
                 raise self._error(DeadlockError(
                     f"no runnable core; blocked threads: {blocked}"
                 ), reason="deadlock")
-            if max_cycles is not None and core.now > max_cycles:
+            avail, cid, _ = heappop(heap)
+            while heap and heap[0][2] != version[heap[0][1]]:
+                heappop(heap)
+            limit = heap[0][0] if heap else _INFINITY
+            self._ff_limit = limit
+            core = cores[cid]
+            thread = core.current
+            if thread is None and avail > core.now:
+                core.now = int(avail)
+            now = core.now
+            if max_cycles is not None and now > max_cycles:
                 self._steps = steps
                 if on_timeout == "truncate":
                     return self._truncate("max_cycles")
                 raise self._error(SimulationError(
-                    f"exceeded max_cycles={max_cycles} at t={core.now}"
+                    f"exceeded max_cycles={max_cycles} at t={now}"
                 ), reason="max_cycles")
-            if pause_at is not None and core.now > pause_at:
+            if pause_at is not None and now > pause_at:
                 self._steps = steps
                 return self._pause()
             steps += 1
@@ -305,20 +340,78 @@ class Simulation:
                 progress = self._progress_metric()
                 if progress != self._last_progress:
                     self._last_progress = progress
-                    self._last_progress_time = core.now
-                elif core.now - self._last_progress_time > livelock_window:
+                    self._last_progress_time = now
+                elif now - self._last_progress_time > livelock_window:
                     self._steps = steps
                     if on_timeout == "truncate":
                         return self._truncate("livelock")
                     raise self._error(LivelockError(
                         f"no forward progress for {livelock_window} cycles "
-                        f"at t={core.now}"
+                        f"at t={now}"
                     ), reason="livelock")
-            self._step(core)
-            if fast_forward:
-                steps = self._fast_forward_block(
-                    core, max_cycles, livelock_window, steps
-                )
+            if thread is None or thread.spin is not None:
+                self._step(core)
+            else:
+                # The fused op block: execute the scheduled op, then keep
+                # going while this core stays strictly earliest.  Plain
+                # compute/memory ops never change another core's
+                # availability, so the horizon stays valid; the block
+                # stops before a watchdog step and past max_cycles, so
+                # the watchdog sees the same step index and state as
+                # one op per iteration would give.  A sync op or the
+                # end of the stream ends the block.
+                horizon = limit if fast_forward and not core.queue else 0
+                body = thread.body
+                block_start = now
+                ops = instrs = 0
+                while True:
+                    op = next(body, None)
+                    if op is None:
+                        break
+                    tag = op.TAG
+                    if tag == TAG_COMPUTE:
+                        n = op.n
+                        instrs += n
+                        now += -(-n // width) + compute(cid, n, now)
+                    elif tag == TAG_LOAD:
+                        instrs += 1
+                        now += 1 + load(
+                            cid, op.addr, op.pc, now,
+                            overlappable=op.overlappable,
+                            dependent=op.dependent,
+                        )
+                    elif tag == TAG_STORE:
+                        instrs += 1
+                        now += 1 + store(cid, op.addr, op.pc, now)
+                    else:
+                        break
+                    ops += 1
+                    if (now >= horizon
+                            or (max_cycles is not None and now > max_cycles)
+                            or (livelock_window is not None
+                                and (steps + 1) % _WATCHDOG_STRIDE == 0)):
+                        break
+                    steps += 1
+                core.now = now
+                thread.instrs += instrs
+                thread.ops_taken += ops
+                if op is None:
+                    self._finish_thread(core, thread)
+                elif tag > TAG_STORE:  # tags 0-2 are the plain ops
+                    thread.ops_taken += 1
+                    self._execute_sync_op(core, thread, op, tag)
+                delta = core.now - block_start
+                core.busy_cycles += delta
+                stats[cid].busy_cycles += delta
+                if core.queue:
+                    self._maybe_preempt(core)
+            # Re-key the stepped core (wakeups re-keyed their targets).
+            if core.current is not None:
+                key = version[cid] + 1
+                version[cid] = key
+                heappush(heap, (core.now, cid, key))
+            else:
+                self._rekey(core)
             if checkpoint is not None and checkpoint.due(core.now):
                 self._steps = steps
                 checkpoint.save(self, "interval")
@@ -471,32 +564,62 @@ class Simulation:
                 still_live.append(entry)
             live = still_live
 
-    def _pick_core(self) -> _CoreRuntime | None:
-        best, best_time, second_time = self._scheduler.pick(self.cores)
-        # The earliest instant any *other* core could act — the horizon
-        # the fast-forward block may run to without a global reschedule.
-        self._ff_limit = second_time
-        if best is not None and best.current is None and best_time > best.now:
-            best.now = int(best_time)
-        return best
+    # ------------------------------------------------------------------
+    # the frontier
+    # ------------------------------------------------------------------
+
+    @staticmethod
+    def _avail(core: _CoreRuntime) -> int | None:
+        """When ``core`` can next act: now if it runs a thread, else its
+        earliest queued ready time (not before now); None when idle
+        with an empty queue."""
+        if core.current is not None:
+            return core.now
+        if not core.queue:
+            return None
+        earliest = min(t.ready_time for t in core.queue)
+        return earliest if earliest > core.now else core.now
+
+    def _rebuild_frontier(self) -> list[tuple[int, int, int]]:
+        """Rebuild the frontier heap from the cores.  Done at every
+        :meth:`run` entry, so pauses, restores and session
+        perturbations between runs need no hooks."""
+        version = self._version
+        heap = []
+        for core in self.cores:
+            avail = self._avail(core)
+            if avail is not None:
+                heap.append((avail, core.core_id, version[core.core_id]))
+        heapify(heap)
+        self._frontier = heap
+        return heap
+
+    def _rekey(self, core: _CoreRuntime) -> None:
+        """Replace ``core``'s frontier entry after its availability
+        changed."""
+        cid = core.core_id
+        self._version[cid] += 1
+        avail = self._avail(core)
+        if avail is not None:
+            heappush(self._frontier, (avail, cid, self._version[cid]))
 
     # ------------------------------------------------------------------
-    # one step of one core
+    # one dispatch or spin step of one core
     # ------------------------------------------------------------------
 
     def _step(self, core: _CoreRuntime) -> None:
+        """Dispatch onto an idle core, or run one spin-loop iteration
+        (plain ops run in the fused block of :meth:`run`)."""
         thread = core.current
         if thread is None:
             self._dispatch(core)
             return
         before = core.now
-        if thread.spin is not None:
-            self._spin_iteration(core, thread)
-            thread.gt_spin_cycles += core.now - before
-        else:
-            self._execute_next_op(core, thread)
-        core.busy_cycles += core.now - before
-        self.chip.stats[core.core_id].busy_cycles += core.now - before
+        self._spin_iteration(core, thread)
+        delta = core.now - before
+        thread.gt_spin_cycles += delta
+        core.busy_cycles += delta
+        self.chip.stats[core.core_id].busy_cycles += delta
         self._maybe_preempt(core)
 
     def _dispatch(self, core: _CoreRuntime) -> None:
@@ -537,91 +660,6 @@ class Simulation:
                 return thread
         return None
 
-    # ------------------------------------------------------------------
-    # quiescent-region fast-forward
-    # ------------------------------------------------------------------
-
-    def _fast_forward_block(
-        self,
-        core: _CoreRuntime,
-        max_cycles: int | None,
-        livelock_window: int | None,
-        steps: int,
-    ) -> int:
-        """Execute a block of ops on ``core`` without returning to the
-        global scheduling loop, and return the updated step count.
-
-        This is purely an optimization: an op is executed here only when
-        the serial reference loop would inevitably execute exactly that
-        op next.  The preconditions guarantee it:
-
-        * ``core`` is *strictly* the earliest-available core (it stays
-          that way while its clock is below ``limit``, since plain
-          compute/memory ops never change another core's availability);
-        * its thread is running and not spinning, and the local run
-          queue is empty — so there is no dispatch, preemption, or spin
-          state machine to consult between ops;
-        * the block stops *before* a step on which the engine watchdog
-          would run, and never executes an op past ``max_cycles`` — so
-          watchdog progress checks fire on exactly the same step index
-          and engine state as in the reference loop;
-        * any synchronization op is executed through the same handler
-          the reference loop uses, and then ends the block (sync can
-          wake threads, invalidating the cached ``limit``).
-
-        Differential and property tests assert that a run with
-        ``fast_forward`` off is identical, component for component.
-        """
-        limit = self._ff_limit
-        thread = core.current
-        if (core.now >= limit or thread is None or thread.spin is not None
-                or core.queue):
-            return steps
-        chip = self.chip
-        stats = chip.stats[core.core_id]
-        cid = core.core_id
-        width = self._width
-        body = thread.body
-        block_start = core.now
-        while core.now < limit:
-            if max_cycles is not None and core.now > max_cycles:
-                break
-            if (livelock_window is not None
-                    and (steps + 1) % _WATCHDOG_STRIDE == 0):
-                break
-            op = next(body, None)
-            steps += 1
-            if op is None:
-                self._finish_thread(core, thread)
-                break
-            thread.ops_taken += 1
-            tag = op.TAG
-            now = core.now
-            if tag == TAG_COMPUTE:
-                n = op.n
-                thread.instrs += n
-                core.now = now + (-(-n // width)) + chip.compute(cid, n, now)
-            elif tag == TAG_LOAD:
-                thread.instrs += 1
-                core.now = now + 1 + chip.load(
-                    cid, op.addr, op.pc, now,
-                    overlappable=op.overlappable, dependent=op.dependent,
-                )
-            elif tag == TAG_STORE:
-                thread.instrs += 1
-                core.now = now + 1 + chip.store(cid, op.addr, op.pc, now)
-            else:
-                self._execute_sync_op(core, thread, op, tag)
-                delta = core.now - block_start
-                core.busy_cycles += delta
-                stats.busy_cycles += delta
-                self._maybe_preempt(core)
-                return steps
-        delta = core.now - block_start
-        core.busy_cycles += delta
-        stats.busy_cycles += delta
-        return steps
-
     def _maybe_preempt(self, core: _CoreRuntime) -> None:
         thread = core.current
         if thread is None or not core.queue:
@@ -655,37 +693,10 @@ class Simulation:
     # op execution
     # ------------------------------------------------------------------
 
-    def _execute_next_op(self, core: _CoreRuntime, thread: SoftwareThread) -> None:
-        op = next(thread.body, None)
-        if op is None:
-            self._finish_thread(core, thread)
-            return
-        thread.ops_taken += 1
-        tag = op.TAG
-        cid = core.core_id
-        now = core.now
-        chip = self.chip
-        if tag == TAG_COMPUTE:
-            n = op.n
-            thread.instrs += n
-            core.now = now + (-(-n // self._width)) + chip.compute(cid, n, now)
-        elif tag == TAG_LOAD:
-            thread.instrs += 1
-            stall = chip.load(
-                cid, op.addr, op.pc, now,
-                overlappable=op.overlappable, dependent=op.dependent,
-            )
-            core.now = now + 1 + stall
-        elif tag == TAG_STORE:
-            thread.instrs += 1
-            core.now = now + 1 + chip.store(cid, op.addr, op.pc, now)
-        else:
-            self._execute_sync_op(core, thread, op, tag)
-
     def _execute_sync_op(self, core: _CoreRuntime, thread: SoftwareThread,
                          op, tag: int) -> None:
-        """Execute a synchronization/scheduling op (shared between the
-        reference loop and the fast-forward block)."""
+        """Execute a synchronization/scheduling op (it ends a fused op
+        block)."""
         cid = core.core_id
         if tag == TAG_LOCK_ACQUIRE:
             self._lock_acquire(core, thread, self.sync.lock(op.lock_id))
@@ -944,7 +955,10 @@ class Simulation:
     def _wake(self, thread: SoftwareThread, now: int) -> None:
         thread.state = READY
         thread.ready_time = now + self.machine.sched.wakeup_latency_cycles
-        self.cores[thread.core_id].queue.append(thread)
+        core = self.cores[thread.core_id]
+        core.queue.append(thread)
+        if core.current is None:
+            self._rekey(core)
 
     # ------------------------------------------------------------------
     # checkpointing (Snapshotable)
@@ -983,9 +997,6 @@ class Simulation:
         }
         if self.accountant.enabled:
             state["accountant"] = self.accountant.state_dict()
-        scheduler_state = getattr(self._scheduler, "state_dict", None)
-        if scheduler_state is not None:
-            state["scheduler"] = scheduler_state()
         return state
 
     def _resolve_sync(self, kind: str, obj_id: int):
@@ -1043,9 +1054,6 @@ class Simulation:
                 "checkpoint lacks accounting state required by this "
                 "simulation's accountant"
             )
-        scheduler_load = getattr(self._scheduler, "load_state_dict", None)
-        if scheduler_load is not None and "scheduler" in state:
-            scheduler_load(state["scheduler"])
         self._n_finished = state["n_finished"]
         self._steps = state["steps"]
         self._last_progress = tuple(state["last_progress"])

@@ -218,6 +218,15 @@ class _Stream:
         return STREAM_BASE + self.rng.randrange(lo, hi) * g.LINE
 
 
+class _Computes(dict):
+    """One shared ``Compute(n)`` per distinct ``n`` (ops are never
+    mutated); a hit is a plain dict lookup."""
+
+    def __missing__(self, n: int) -> Compute:
+        op = self[n] = Compute(n)
+        return op
+
+
 def _thread_body(spec: BenchmarkSpec, tid: int, n_threads: int):
     """Generator of one thread's dynamic instruction stream."""
     rng = random.Random(g.seed_for(spec.full_name, tid))
@@ -243,6 +252,8 @@ def _thread_body(spec: BenchmarkSpec, tid: int, n_threads: int):
             stride_fraction=spec.cold_stride_fraction,
             stride=g.LINE,
         )
+    mem_access = _mem_access_fn(spec, rng, private, shared, cold, stream, tid)
+    compute = _Computes()
 
     total_instrs = spec.total_kinstrs * 1000
     base_share = total_instrs // n_threads
@@ -273,20 +284,18 @@ def _thread_body(spec: BenchmarkSpec, tid: int, n_threads: int):
             mem_debt -= n_mem
             compute_budget = block - n_mem
             if n_mem == 0:
-                yield Compute(block)
+                yield compute[block]
             else:
                 sub = max(1, compute_budget // n_mem)
                 emitted = 0
                 for _ in range(n_mem):
                     step = min(sub, compute_budget - emitted)
                     if step > 0:
-                        yield Compute(step)
+                        yield compute[step]
                         emitted += step
-                    yield _mem_access(
-                        spec, rng, private, shared, cold, stream, tid
-                    )
+                    yield mem_access()
                 if emitted < compute_budget:
-                    yield Compute(compute_budget - emitted)
+                    yield compute[compute_budget - emitted]
 
             # Critical sections (locks exist in the 1-thread run too —
             # they are then uncontended, like the paper's parallel
@@ -297,7 +306,7 @@ def _thread_body(spec: BenchmarkSpec, tid: int, n_threads: int):
                 cs_counter += 1
                 lock_id = g.round_robin_lock(tid, cs_counter, spec.n_locks)
                 yield LockAcquire(lock_id)
-                yield Compute(spec.cs_len_instrs)
+                yield compute[spec.cs_len_instrs]
                 for store_idx in range(spec.cs_stores):
                     addr = (
                         g.SHARED_BASE
@@ -312,50 +321,60 @@ def _thread_body(spec: BenchmarkSpec, tid: int, n_threads: int):
         yield BarrierWait(n_phases)
 
 
-def _mem_access(spec: BenchmarkSpec, rng: random.Random, private, shared,
-                cold, stream, tid: int):
-    """One memory access according to the spec's mix.
+def _mem_access_fn(spec: BenchmarkSpec, rng: random.Random, private, shared,
+                   cold, stream, tid: int):
+    """One thread's memory-access synthesizer: a closure returning the
+    next access according to the spec's mix.
 
-    A plain function (not a generator): the thread body yields the
-    returned op directly, avoiding one generator object and a ``yield
-    from`` frame per memory access on the synthesis hot path.  The RNG
-    draw order is part of the workload definition and must not change.
+    The spec's knobs, the stream methods and ``rng.random`` are bound to
+    locals once per thread, since the closure runs once per memory op.
+    The RNG draw order is part of the workload definition and must not
+    change.
     """
-    if stream is not None and rng.random() < spec.stream_fraction:
-        if rng.random() < spec.stream_produce_fraction:
-            return Store(stream.produce_addr(), PC_WORK_STORE)
-        addr = stream.consume_addr()
-        if addr is None:
-            return Store(stream.produce_addr(), PC_WORK_STORE)
-        return Load(addr, PC_WORK_LOAD)
-    if shared is not None and rng.random() < spec.shared_fraction:
-        addr = shared.next_addr()
-        if rng.random() < spec.shared_store_fraction:
+    random_ = rng.random
+    next_private = private.next_addr
+    store_fraction = spec.store_fraction
+    false_sharing = spec.false_sharing_fraction
+    false_sharing_lines = spec.false_sharing_lines
+    false_sharing_word = (tid % 8) * 8
+    dependent_fraction = spec.dependent_fraction
+    stream_fraction = spec.stream_fraction
+    produce_fraction = spec.stream_produce_fraction
+    shared_fraction = spec.shared_fraction
+    shared_store_fraction = spec.shared_store_fraction
+    cold_fraction = spec.cold_fraction
+
+    def mem_access():
+        if stream is not None and random_() < stream_fraction:
+            if random_() < produce_fraction:
+                return Store(stream.produce_addr(), PC_WORK_STORE)
+            addr = stream.consume_addr()
+            if addr is None:
+                return Store(stream.produce_addr(), PC_WORK_STORE)
+            return Load(addr, PC_WORK_LOAD)
+        if shared is not None and random_() < shared_fraction:
+            addr = shared.next_addr()
+            if random_() < shared_store_fraction:
+                return Store(addr, PC_WORK_STORE)
+            return Load(addr, PC_WORK_LOAD)
+        if cold is not None and random_() < cold_fraction:
+            dependent = (
+                dependent_fraction > 0 and random_() < dependent_fraction
+            )
+            return Load(
+                cold.next_addr(), PC_WORK_LOAD,
+                overlappable=not dependent, dependent=dependent,
+            )
+        addr = next_private()
+        if random_() < store_fraction:
+            if false_sharing > 0 and random_() < false_sharing:
+                # own word of a hot shared line: pure coherency ping-pong
+                line = rng.randrange(false_sharing_lines)
+                addr = FALSE_SHARING_BASE + line * g.LINE + false_sharing_word
             return Store(addr, PC_WORK_STORE)
-        return Load(addr, PC_WORK_LOAD)
-    if cold is not None and rng.random() < spec.cold_fraction:
-        dependent = (
-            spec.dependent_fraction > 0
-            and rng.random() < spec.dependent_fraction
-        )
+        dependent = dependent_fraction > 0 and random_() < dependent_fraction
         return Load(
-            cold.next_addr(), PC_WORK_LOAD,
-            overlappable=not dependent, dependent=dependent,
+            addr, PC_WORK_LOAD, overlappable=not dependent, dependent=dependent
         )
-    addr = private.next_addr()
-    if rng.random() < spec.store_fraction:
-        if (
-            spec.false_sharing_fraction > 0
-            and rng.random() < spec.false_sharing_fraction
-        ):
-            # own word of a hot shared line: pure coherency ping-pong
-            line = rng.randrange(spec.false_sharing_lines)
-            addr = FALSE_SHARING_BASE + line * g.LINE + (tid % 8) * 8
-        return Store(addr, PC_WORK_STORE)
-    dependent = (
-        spec.dependent_fraction > 0
-        and rng.random() < spec.dependent_fraction
-    )
-    return Load(
-        addr, PC_WORK_LOAD, overlappable=not dependent, dependent=dependent
-    )
+
+    return mem_access

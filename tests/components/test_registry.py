@@ -10,7 +10,7 @@ from __future__ import annotations
 import pytest
 
 from repro.components import available, kinds, register, resolve, unregister
-from repro.components.protocols import ReplacementPolicy, Scheduler
+from repro.components.protocols import ReplacementPolicy
 from repro.components.registry import validate_choice
 from repro.config import CacheConfig
 from repro.errors import ConfigError
@@ -22,10 +22,9 @@ class TestResolution:
         assert available("replacement") == ("fifo", "lru", "random")
         assert available("spin_detector") == ("li", "tian")
         assert available("page_policy") == ("closed", "open")
-        assert available("scheduler") == ("earliest",)
-        assert kinds() == (
-            "page_policy", "replacement", "scheduler", "spin_detector",
-        )
+        # the engine's core pick is fixed (earliest first), not a kind
+        assert available("scheduler") == ()
+        assert kinds() == ("page_policy", "replacement", "spin_detector")
 
     def test_resolve_returns_factory(self):
         factory = resolve("replacement", "lru")
@@ -94,18 +93,23 @@ class TestRegistration:
             resolve("replacement", "mru-test")
 
     def test_reregistering_same_object_is_noop(self):
-        factory = resolve("scheduler", "earliest")
-        assert register("scheduler", "earliest")(factory) is factory
+        factory = resolve("replacement", "lru")
+        assert register("replacement", "lru")(factory) is factory
 
     def test_shadowing_taken_name_rejected(self):
         class Impostor:
-            def pick(self, cores):
-                return None, 0.0, 0.0
+            promote_on_hit = False
+
+            def select_victim(self, cache_set):
+                return next(iter(cache_set))
+
+            def reset(self):
+                pass
 
         with pytest.raises(ConfigError, match="already registered"):
-            register("scheduler", "earliest")(Impostor)
+            register("replacement", "lru")(Impostor)
         # The original registration is intact.
-        assert not isinstance(resolve("scheduler", "earliest"), Impostor)
+        assert resolve("replacement", "lru") is not Impostor
 
     def test_unregister_unknown_rejected(self):
         with pytest.raises(ConfigError, match="not registered"):
@@ -113,7 +117,12 @@ class TestRegistration:
 
     def test_protocols_are_structural(self):
         class Anon:
-            def pick(self, cores):
-                return None, 0.0, 0.0
+            promote_on_hit = True
 
-        assert isinstance(Anon(), Scheduler)
+            def select_victim(self, cache_set):
+                return next(iter(cache_set))
+
+            def reset(self):
+                pass
+
+        assert isinstance(Anon(), ReplacementPolicy)

@@ -199,3 +199,67 @@ class TestValidation:
              "t0_us": 3, "dur_us": 5, "origin": "w-1"},
         ]
         assert validate_span_rows(rows) == []
+
+
+class TestEngineAdvanceChildren:
+    """``engine.advance`` splits into ``engine.warm`` (cache warmup) and
+    ``engine.loop`` (the scheduling loop) on both cell paths."""
+
+    @staticmethod
+    def _check(rows):
+        by_id = {row["id"]: row for row in rows}
+        advances = [row for row in rows if row["name"] == "engine.advance"]
+        assert advances
+        for advance in advances:
+            children = {
+                row["name"]: row for row in rows
+                if row["parent"] == advance["id"]
+            }
+            assert set(children) == {"engine.warm", "engine.loop"}
+            assert (children["engine.warm"]["dur_us"]
+                    + children["engine.loop"]["dur_us"]
+                    <= advance["dur_us"])
+            assert by_id[advance["parent"]]["cat"] == "cell"
+
+    def _cell(self):
+        from repro.config import MachineConfig
+        from repro.workloads.spec import build_program
+        from repro.workloads.suite import by_name
+
+        spec = by_name("blackscholes_small")
+        return (spec, MachineConfig(n_cores=2),
+                build_program(spec, 2, scale=0.05))
+
+    def test_run_experiment(self):
+        from repro.experiments.runner import run_experiment
+
+        spec, machine, program = self._cell()
+        recorder = SpanRecorder()
+        with recorder.span(f"{spec.full_name}:2", cat="cell"):
+            run_experiment(spec.full_name, machine, program, spans=recorder)
+        self._check(recorder.to_dicts())
+
+    def test_batch_runner(self):
+        from repro.experiments.runner import BatchRunner, RunPolicy
+        from repro.workloads.suite import by_name
+
+        recorder = SpanRecorder()
+        runner = BatchRunner(policy=RunPolicy(), scale=0.05, spans=recorder)
+        runner.run_sweep([(by_name("blackscholes_small"), 2)])
+        self._check(recorder.to_dicts())
+
+    def test_spans_off_runs_the_engine_once(self, monkeypatch):
+        from repro.experiments.runner import run_experiment
+        from repro.sim.engine import Simulation
+
+        calls = []
+        real_run = Simulation.run
+
+        def counting_run(self, *args, **kwargs):
+            calls.append(kwargs.get("pause_at"))
+            return real_run(self, *args, **kwargs)
+
+        monkeypatch.setattr(Simulation, "run", counting_run)
+        spec, machine, program = self._cell()
+        run_experiment(spec.full_name, machine, program)
+        assert calls == [None]

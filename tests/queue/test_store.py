@@ -20,6 +20,7 @@ from repro.queue import (
     QUARANTINED,
     QueueStore,
 )
+from repro.queue.store import RECLAIM_LOG
 
 T0 = 1_000.0
 
@@ -202,6 +203,23 @@ class TestReclaimer:
         [event] = store.reclaim_expired(now=T0 + 2)
         assert event.corrupt
         assert store.state_of("tiny:2") == PENDING
+
+
+    def test_every_reclaim_is_logged_for_the_driver(self, store):
+        """An idle worker's reclaim reaches the driver through the log,
+        not only the reclaiming process's return value."""
+        driver = QueueStore(store.root)
+        _, offset = driver.reclaims_since(0)
+        assert offset == 0
+        store.claim("wa", now=T0)
+        [event] = store.reclaim_expired(now=T0 + 11)  # the worker's scan
+        assert driver.reclaim_expired(now=T0 + 11) == []
+        events, offset = driver.reclaims_since(offset)
+        assert events == [event]
+        # a half-written line stays unread until it is complete
+        with open(store.root / RECLAIM_LOG, "a") as handle:
+            handle.write('{"key": "tiny:4"')
+        assert driver.reclaims_since(offset) == ([], offset)
 
 
 class TestChaosMarkers:

@@ -243,6 +243,17 @@ class TestExperimentConfig:
             ExperimentConfig.from_dict({"run": {"engine": "reference"}})
         assert exc.value.field == "run"
 
+    def test_removed_sched_policy_key_rejected(self):
+        # the core pick is always earliest-first; a config naming the
+        # removed policy field fails loudly instead of being ignored
+        with pytest.raises(
+            ConfigError, match="machine.sched: unknown key\\(s\\) policy"
+        ) as exc:
+            ExperimentConfig.from_dict(
+                {"machine": {"sched": {"policy": "earliest"}}}
+            )
+        assert exc.value.field == "machine.sched"
+
     def test_bad_component_name_reports_path_and_choices(self):
         with pytest.raises(ConfigError) as exc:
             ExperimentConfig.from_dict(
