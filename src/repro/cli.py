@@ -14,7 +14,7 @@ Commands:
 * ``run-trace`` — simulate a text op-trace file
 * ``trace``     — Chrome/Perfetto trace of one cell (observability bus)
 * ``sweep``     — hardened suite sweep (journal, retries, fault injection)
-* ``worker``    — one durable-work-queue worker (``sweep --backend queue``)
+* ``worker``    — one work-queue worker (joins a ``sweep --queue-dir``)
 * ``bench``     — time the sweep serial vs ``--jobs N`` (BENCH_sweep.json)
 * ``report``    — self-contained HTML health report of a sweep
 * ``inspect``   — partial speedup stack of an engine checkpoint file
@@ -97,12 +97,7 @@ from repro.observability import (
     write_report,
 )
 from repro.observability.events import EventBus
-from repro.parallel import (
-    ChunkingPolicy,
-    cells_from_sweep,
-    run_parallel_sweep,
-)
-from repro.queue import run_queue_sweep, run_worker
+from repro.queue import cells_from_sweep, run_queue_sweep, run_worker
 from repro.robustness.drain import (
     EXIT_DRAINED,
     EXIT_INTERRUPTED,
@@ -520,12 +515,6 @@ def cmd_sweep(args) -> int:
     )
     scale = args.scale if args.scale is not None else workload.scale
     jobs = args.jobs if args.jobs is not None else run.jobs
-    backend = args.backend
-    if backend == "queue" and not args.queue_dir:
-        print("error: --backend queue needs --queue-dir", file=sys.stderr)
-        return 2
-    if args.queue_dir and backend != "queue":
-        backend = "queue"  # --queue-dir alone implies the queue backend
     #: the machine only deviates from the per-cell paper default when a
     #: config file supplies one
     machine = experiment.machine if args.config else None
@@ -534,9 +523,10 @@ def cmd_sweep(args) -> int:
         args.checkpoint_dir if args.checkpoint_dir is not None
         else run.checkpoint_dir
     )
-    if backend == "queue" and checkpoint_dir is None:
-        # queue sweeps always checkpoint: mid-cell crash-resume is the
-        # point of the lease protocol
+    if args.queue_dir and checkpoint_dir is None:
+        # a shared queue always checkpoints: mid-cell crash-resume is
+        # the point of the lease protocol (a private -j N queue only
+        # checkpoints with --checkpoint-dir, like a serial sweep)
         checkpoint_dir = os.path.join(args.queue_dir, "checkpoints")
     policy = RunPolicy(
         on_error=(
@@ -586,8 +576,9 @@ def cmd_sweep(args) -> int:
         ).attach(bus)
     drain = DrainController().install()
     try:
-        if backend == "queue":
-            os.makedirs(policy.checkpoint_dir, exist_ok=True)
+        if args.queue_dir or jobs > 1:
+            if policy.checkpoint_dir is not None:
+                os.makedirs(policy.checkpoint_dir, exist_ok=True)
             report = run_queue_sweep(
                 cells_from_sweep(
                     cells, scale=scale, fault_kinds=fault_plan,
@@ -604,25 +595,6 @@ def cmd_sweep(args) -> int:
                 lease_ttl_s=args.lease_ttl,
                 poison_after=args.poison_after,
                 drain=drain,
-            )
-        elif jobs > 1:
-            report = run_parallel_sweep(
-                cells_from_sweep(
-                    cells, scale=scale, fault_kinds=fault_plan,
-                    machine=machine,
-                ),
-                jobs=jobs,
-                policy=policy,
-                journal=journal,
-                resume=args.resume,
-                bus=bus,
-                metrics=metrics,
-                spans=spans,
-                drain=drain,
-                chunking=(
-                    ChunkingPolicy(chunk_cells=args.chunk_cells)
-                    if args.chunk_cells is not None else None
-                ),
             )
         else:
             runner = BatchRunner(
@@ -648,11 +620,7 @@ def cmd_sweep(args) -> int:
         rows = spans.to_dicts()
         with open(args.emit_spans, "w") as handle:
             json.dump({
-                "metadata": {
-                    "n_cells": len(cells),
-                    "jobs": jobs,
-                    "backend": backend,
-                },
+                "metadata": {"n_cells": len(cells), "jobs": jobs},
                 "spans": rows,
             }, handle, indent=1)
             handle.write("\n")
@@ -963,18 +931,15 @@ def build_parser() -> argparse.ArgumentParser:
                         f"{', '.join(FAULT_KINDS)} (repeatable)")
     p.add_argument("-j", "--jobs", type=int, default=None,
                    help="worker processes for the sweep (default 1: "
-                        "serial in-process execution)")
-    p.add_argument("--chunk-cells", type=int, default=None,
-                   help="fixed cells per dispatch chunk for --jobs > 1 "
-                        "(default: adaptive sizing by estimated cell "
-                        "cost); any value yields byte-identical journals")
+                        "serial in-process execution; N > 1 runs on a "
+                        "private work queue)")
     p.add_argument("--emit-metrics", metavar="PATH", default=None,
                    help="collect per-cell sim/runtime metrics and write "
                         "the aggregated registry JSON here")
     p.add_argument("--emit-spans", metavar="PATH", default=None,
                    help="record harness phase spans (wall-clock; never "
                         "journaled) and write them as JSON here; with "
-                        "--backend queue the spans also land on each "
+                        "--queue-dir the spans also land on each "
                         "cell's queue record for `repro report`")
     p.add_argument("--progress", action="store_true",
                    help="live one-line progress + ETA on stderr")
@@ -992,15 +957,11 @@ def build_parser() -> argparse.ArgumentParser:
                    metavar="CYCLES",
                    help="periodic save interval in simulated cycles "
                         "(needs --checkpoint-dir)")
-    p.add_argument("--backend", choices=("process", "queue"),
-                   default="process",
-                   help="execution backend: 'process' (in-process pool) "
-                        "or 'queue' (durable work queue with leased "
-                        "cells; needs --queue-dir)")
     p.add_argument("--queue-dir", metavar="DIR", default=None,
-                   help="durable work-queue directory (implies "
-                        "--backend queue); workers lease cells from it "
-                        "and crash-resume via checkpoints")
+                   help="keep the work queue in this directory (default "
+                        "with -j N: a private temporary one); external "
+                        "`repro worker DIR` processes may join it, and "
+                        "cells crash-resume via checkpoints under it")
     p.add_argument("--lease-ttl", type=float, default=30.0,
                    metavar="SECONDS",
                    help="queue lease TTL; a worker silent this long "
@@ -1013,7 +974,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "worker",
-        help="run one work-queue worker (see sweep --backend queue)",
+        help="run one work-queue worker (see sweep --queue-dir)",
     )
     p.add_argument("queue_dir", help="queue directory to attach to")
     p.add_argument("--worker-id", default=None,

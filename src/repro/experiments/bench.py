@@ -34,12 +34,7 @@ from repro.observability import MetricsRegistry, TimelineRecorder
 from repro.observability.events import EventBus
 from repro.observability.profiling import DeterministicProfiler
 from repro.observability.spans import SpanRecorder
-from repro.parallel import (
-    ChunkingPolicy,
-    cells_from_sweep,
-    plan_chunks,
-    run_parallel_sweep,
-)
+from repro.queue import cells_from_sweep, run_queue_sweep
 from repro.robustness.journal import SweepJournal
 from repro.sim.engine import Simulation
 from repro.config import MachineConfig
@@ -79,9 +74,9 @@ def _timed_sweep(cells, scale, policy, jobs, repeats):
     for _ in range(repeats):
         start = time.perf_counter()
         if jobs > 1:
-            report = run_parallel_sweep(
+            report = run_queue_sweep(
                 cells_from_sweep(cells, scale=scale),
-                jobs=jobs, policy=policy, journal=SweepJournal(None),
+                workers=jobs, policy=policy, journal=SweepJournal(None),
             )
         else:
             report = BatchRunner(policy=policy, scale=scale).run_sweep(cells)
@@ -300,30 +295,7 @@ def _bench_checkpoint(max_cycles, repeats):
     }
 
 
-def _chunk_plan_stats(cells, scale, jobs) -> dict:
-    """Describe the deterministic chunk plan a ``--jobs N`` sweep uses.
-
-    Pure planning — no timing — so the doc shows how the dispatcher
-    groups this sweep's cells (how much per-task overhead amortizes,
-    how balanced the estimated costs are) on any host.
-    """
-    pending = list(enumerate(cells_from_sweep(cells, scale=scale)))
-    chunks = plan_chunks(pending, jobs, ChunkingPolicy())
-    sizes = [len(chunk.cells) for chunk in chunks]
-    costs = [chunk.est_cost for chunk in chunks]
-    return {
-        "jobs": jobs,
-        "n_chunks": len(chunks),
-        "cells_per_chunk_min": min(sizes),
-        "cells_per_chunk_max": max(sizes),
-        "cells_per_chunk_mean": round(sum(sizes) / len(sizes), 2),
-        "est_cost_imbalance": round(
-            max(costs) / (sum(costs) / len(costs)), 3
-        ),
-    }
-
-
-def _warm_workers_section(cells, scale, runs) -> dict:
+def _warm_workers_section(runs) -> dict:
     """Summarize the warm-worker results already measured in ``runs``
     and evaluate the speedup gate (no extra timing).
 
@@ -339,13 +311,12 @@ def _warm_workers_section(cells, scale, runs) -> dict:
     )
     enforced = cpu_count >= WARM_GATE_JOBS and gate_run is not None
     return {
-        "dispatch": "persistent pool, chunked cells, canonical-JSON "
-                    "results, per-worker warm caches",
+        "dispatch": "forked workers on a private work queue, claims "
+                    "follow the per-worker single-threaded reference memo",
         "runs": [
             {
                 "jobs": r["jobs"],
                 "speedup_vs_serial": r["speedup_vs_serial"],
-                "chunk_plan": _chunk_plan_stats(cells, scale, r["jobs"]),
             }
             for r in parallel_runs
         ],
@@ -407,7 +378,7 @@ def run_bench(
             "repeats": repeats,
         },
         "sweep": runs,
-        "warm_workers": _warm_workers_section(cells, scale, runs),
+        "warm_workers": _warm_workers_section(runs),
         "engine_fast_forward": _bench_fast_forward(
             scale, max_cycles, repeats
         ),
@@ -447,12 +418,9 @@ def render_bench(doc: dict) -> str:
         else:
             verdict = f"gate not enforced ({gate['note']})"
         for run in warm["runs"]:
-            plan = run["chunk_plan"]
             lines.append(
                 f"warm workers --jobs {run['jobs']}: "
-                f"{run['speedup_vs_serial']:.2f}x vs serial, "
-                f"{plan['n_chunks']} chunks "
-                f"(~{plan['cells_per_chunk_mean']:.1f} cells each)"
+                f"{run['speedup_vs_serial']:.2f}x vs serial"
             )
         lines.append(f"warm workers: {verdict}")
     ff = doc["engine_fast_forward"]

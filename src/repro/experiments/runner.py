@@ -473,7 +473,8 @@ class BatchRunner:
     exactly one cell.  A plan value may also be a bare fault *kind*
     string from :data:`~repro.robustness.faults.FAULT_KINDS`, resolved
     via :func:`~repro.robustness.faults.make_fault` when the cell runs
-    (strings pickle; closures do not — see ``repro.parallel``).
+    (strings serialize into a queue manifest; closures do not — see
+    ``repro.queue``).
 
     The single-threaded reference run of a cell depends only on the
     benchmark spec, scale and (post-fault) machine, so it is memoized
@@ -532,8 +533,8 @@ class BatchRunner:
         #: optional SpanRecorder timing the harness's own phases (trace
         #: decode, ST reference, engine advance, harvest, journal
         #: write).  Spans are wall-clock so they are never journaled;
-        #: warm workers re-point this attribute per chunk — it is
-        #: mutable state *outside* the WorkerCaches key on purpose.
+        #: queue workers re-point this attribute per cell on their
+        #: warm runners.
         self.spans = spans
         self._machine_factory = machine_factory or (
             lambda n_threads: MachineConfig(n_cores=n_threads)
@@ -564,7 +565,7 @@ class BatchRunner:
         fault = self.fault_plan.get(key)
         fault_seed = 0
         if isinstance(fault, tuple):
-            # (kind, seed) — how the parallel layer ships seeded faults
+            # (kind, seed) — how queue workers receive seeded faults
             fault, fault_seed = fault
         if isinstance(fault, str):
             fault_kind = fault

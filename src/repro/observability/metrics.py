@@ -16,9 +16,9 @@ Two kinds of metrics flow through the registry:
   journal, which must stay byte-deterministic.
 
 Aggregation across worker processes follows the parent-only collection
-path of :mod:`repro.parallel`: each worker harvests its cell's flat
-``sim.*`` dict into the picklable ``CellResult``, and the parent merges
-into its registry in submission order.  All merge operations (counter
+path of :mod:`repro.queue`: each worker harvests its cell's flat
+``sim.*`` dict onto the cell's done record, and the parent merges it
+into its registry in manifest order.  All merge operations (counter
 sum, gauge max, histogram bucket sum) are commutative, so the aggregate
 is independent of completion order.
 """
@@ -62,7 +62,7 @@ METRIC_REGISTRY: dict[str, dict] = {
     },
     "runtime.lease_expiries": {
         "kind": "counter", "labels": (),
-        "help": "queue leases reclaimed from silent workers",
+        "help": "queue leases reclaimed from silent or dead workers",
     },
     "runtime.requeues": {
         "kind": "counter", "labels": (),
@@ -71,18 +71,6 @@ METRIC_REGISTRY: dict[str, dict] = {
     "runtime.quarantined": {
         "kind": "counter", "labels": (),
         "help": "poison cells quarantined after repeated expiries",
-    },
-    "runtime.chunks_dispatched": {
-        "kind": "counter", "labels": (),
-        "help": "chunks submitted to the worker pool",
-    },
-    "runtime.chunks_finished": {
-        "kind": "counter", "labels": (),
-        "help": "chunks whose results were collected",
-    },
-    "runtime.cells_recovered_from_spill": {
-        "kind": "counter", "labels": (),
-        "help": "cells recovered from a dead worker's spill file",
     },
     # -- sim.* (deterministic; journaled per cell) ---------------------
     "sim.l1_hits": {"kind": "counter", "labels": ("core",),

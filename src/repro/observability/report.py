@@ -29,7 +29,9 @@ import json
 import os
 from pathlib import Path
 
+from repro.core.components import STACK_ORDER
 from repro.core.rendering import _bar
+from repro.core.stack import SpeedupStack
 from repro.observability.spans import span_roots
 
 #: character width of every bar chart in the report
@@ -103,6 +105,10 @@ def _load_queue(queue_dir: Path) -> dict:
     for key in store.order:
         record = store.result(key) or {}
         spans = record.get("spans")
+        stack = (
+            SpeedupStack(**record["stack"]) if record.get("stack") else None
+        )
+        segments = stack.segments() if stack is not None else None
         cells.append({
             "key": key,
             "status": record.get("status", states.get(key, "pending")),
@@ -112,9 +118,12 @@ def _load_queue(queue_dir: Path) -> dict:
             "error_type": record.get("error_type"),
             "wall_s": _queue_run_wall_s(spans),
             "spans": spans,
-            "actual_speedup": record.get("actual_speedup"),
-            "estimated_speedup": record.get("estimated_speedup"),
-            "stack_segments": record.get("stack_segments"),
+            "actual_speedup": stack.actual_speedup if stack else None,
+            "estimated_speedup": stack.estimated_speedup if stack else None,
+            "stack_segments": (
+                {comp.label: segments[comp] for comp in STACK_ORDER}
+                if stack is not None else None
+            ),
             "resumed_from_cycle": record.get("resumed_from_cycle"),
         })
     return {
@@ -323,7 +332,7 @@ def render_report_html(data: dict) -> str:
         parts.append(_section(
             "Per-cell wall clock",
             _note("no wall-clock data — run the sweep with spans "
-                  "enabled (--emit-spans) on the queue backend"),
+                  "enabled (--emit-spans) and a --queue-dir"),
         ))
 
     # span waterfalls of the slowest cells

@@ -1,13 +1,18 @@
-"""Queue sweep driver: spawn workers, watch the queue, merge the journal.
+"""Queue sweep driver: start workers, watch the queue, merge the journal.
 
-The parent process behind ``repro sweep --backend queue``:
+The parent process behind ``repro sweep -j N`` (and ``--queue-dir``):
 
 1. create (or, with ``--resume``, attach to) the
    :class:`~repro.queue.store.QueueStore`, enqueueing every cell the
-   journal does not already record as ok;
-2. spawn ``workers`` subprocesses (``repro worker <queue-dir>``) — and
-   respawn any that die, within a budget, emitting
-   :class:`~repro.observability.events.WorkerCrashed`;
+   journal does not already record as ok — without ``queue_dir`` the
+   queue is private: a temporary directory removed after the merge;
+2. start ``workers`` worker processes running
+   :func:`~repro.queue.worker.worker_main` — and respawn any that die,
+   within a budget, emitting
+   :class:`~repro.observability.events.WorkerCrashed`.  A worker that
+   dies expires its lease at once (one expiry), so its cell is
+   requeued without waiting out the TTL; a cell that kills every
+   worker it meets is quarantined after ``poison_after`` expiries;
 3. run the reclaimer and translate queue state transitions into the
    standard sweep event stream (``CellStarted`` / ``CellFinished`` /
    ``LeaseExpired`` / ``CellRequeued`` / ``CellQuarantined``) and
@@ -31,14 +36,13 @@ rest.
 from __future__ import annotations
 
 import logging
-import os
-import signal
-import subprocess
-import sys
+import multiprocessing
+import tempfile
 import time
 from dataclasses import dataclass
 from pathlib import Path
 
+from repro.core.stack import SpeedupStack
 from repro.errors import ConfigError, ExperimentError
 from repro.experiments.runner import (
     CELL_FAILED,
@@ -60,7 +64,7 @@ from repro.observability.events import (
     WorkerHeartbeat,
 )
 from repro.observability.spans import maybe_span
-from repro.parallel import CellSpec
+from repro.queue.cells import CellSpec
 from repro.queue.store import (
     DONE,
     LEASED,
@@ -70,110 +74,109 @@ from repro.queue.store import (
     QueueStore,
     TERMINAL_STATES,
 )
+from repro.queue.worker import worker_main
 from repro.robustness.journal import SweepJournal
 
 logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
-class StackView:
-    """The slice of a SpeedupStack the sweep CLI renders for an ok
-    cell; rebuilt from the done record (the full stack stays with the
-    worker that computed it)."""
-
-    actual_speedup: float | None
-    truncated: bool
-
-
-@dataclass(frozen=True)
 class QueueCellResult:
-    """Display shim standing in for ``ExperimentResult`` in queue-sweep
-    outcomes (same ``.stack`` surface the CLI reads)."""
+    """What an ok outcome of a queue sweep carries: the cell's full
+    speedup stack, rebuilt from its done record, and the Section 6
+    overhead proxy (the same surface ``ExperimentResult`` offers the
+    CLI and the differential tests)."""
 
     name: str
     n_threads: int
-    stack: StackView
+    stack: SpeedupStack
+    parallelization_overhead: float | None
 
 
-def _spawn_worker(queue_dir: Path, index: int) -> subprocess.Popen:
-    env = dict(os.environ)
-    src = str(Path(__file__).resolve().parents[2])
-    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-    return subprocess.Popen(
-        [
-            sys.executable, "-m", "repro", "worker", str(queue_dir),
-            "--worker-id", f"w{index}",
-        ],
-        stdout=subprocess.DEVNULL,
-        env=env,
+def _start_worker(queue_dir: Path, worker_id: str) -> multiprocessing.Process:
+    """Start one worker with multiprocessing's default start method: on
+    Linux a fork, so the worker begins with the parent's imports
+    instead of a fresh interpreter (the driver starts no threads of its
+    own, which keeps the fork safe; the target and its string arguments
+    also suit a spawning start method).  Daemonic, so an abandoned
+    driver never leaves workers behind."""
+    proc = multiprocessing.Process(
+        target=worker_main, args=(str(queue_dir), worker_id),
+        name=f"repro-{worker_id}", daemon=True,
     )
+    proc.start()
+    return proc
 
 
 class _WorkerFleet:
-    """Spawn/respawn bookkeeping for the worker subprocesses."""
+    """Spawn/respawn bookkeeping for the worker processes (anything
+    with the :class:`multiprocessing.Process` surface)."""
 
     def __init__(self, queue_dir: Path, n: int, max_respawns: int, spawn):
         self.queue_dir = queue_dir
         self.spawn = spawn
         self.max_respawns = max_respawns
         self.respawns = 0
-        self.crashes = 0
         self._next_index = 0
-        self.procs: list[subprocess.Popen] = [
-            self._spawn() for _ in range(n)
-        ]
+        self.procs: dict[str, multiprocessing.Process] = {}
+        for _ in range(n):
+            self._spawn()
 
-    def _spawn(self) -> subprocess.Popen:
-        proc = self.spawn(self.queue_dir, self._next_index)
+    def _spawn(self) -> None:
+        worker_id = f"w{self._next_index}"
         self._next_index += 1
-        return proc
+        self.procs[worker_id] = self.spawn(self.queue_dir, worker_id)
 
-    def reap_and_respawn(self) -> int:
+    def reap_and_respawn(self) -> list[str]:
         """Collect dead workers; respawn crashed ones within budget.
-        Returns the number of crashes observed this pass."""
-        crashed = 0
-        alive: list[subprocess.Popen] = []
-        for proc in self.procs:
-            code = proc.poll()
+        Returns the ids of the workers that crashed since last call."""
+        crashed = []
+        for worker_id, proc in list(self.procs.items()):
+            code = proc.exitcode
             if code is None:
-                alive.append(proc)
                 continue
+            del self.procs[worker_id]
             if code == 0:
                 continue  # clean exit: queue fully terminal
-            crashed += 1
-            self.crashes += 1
+            crashed.append(worker_id)
             logger.warning(
-                "queue worker pid %d died with exit code %d", proc.pid, code
+                "queue worker %s (pid %d) died with exit code %d",
+                worker_id, proc.pid, code,
             )
             if self.respawns < self.max_respawns:
                 self.respawns += 1
-                alive.append(self._spawn())
+                self._spawn()
             else:
                 logger.error(
                     "worker respawn budget (%d) exhausted", self.max_respawns
                 )
-        self.procs = alive
         return crashed
 
     @property
     def any_alive(self) -> bool:
-        return any(proc.poll() is None for proc in self.procs)
+        return any(proc.exitcode is None for proc in self.procs.values())
 
-    def terminate(self, grace_s: float) -> None:
-        for proc in self.procs:
-            if proc.poll() is None:
-                proc.send_signal(signal.SIGTERM)
+    def stop(self, grace_s: float, settle_s: float = 0.0) -> None:
+        """Give workers ``settle_s`` to exit on their own (an idle
+        worker does once the queue is terminal), then SIGTERM the rest —
+        a signalled worker drains: it finishes or checkpoints its cell
+        and releases the lease — and kill any still alive after
+        ``grace_s``."""
+        deadline = time.monotonic() + settle_s
+        for proc in self.procs.values():
+            proc.join(max(0.0, deadline - time.monotonic()))
+        for proc in self.procs.values():
+            if proc.exitcode is None:
+                proc.terminate()
         deadline = time.monotonic() + grace_s
-        for proc in self.procs:
-            remaining = deadline - time.monotonic()
-            try:
-                proc.wait(timeout=max(0.1, remaining))
-            except subprocess.TimeoutExpired:
+        for worker_id, proc in self.procs.items():
+            proc.join(max(0.1, deadline - time.monotonic()))
+            if proc.exitcode is None:
                 logger.warning(
-                    "worker pid %d ignored SIGTERM; killing", proc.pid
+                    "worker %s ignored SIGTERM; killing", worker_id
                 )
                 proc.kill()
-                proc.wait()
+                proc.join()
 
 
 def run_queue_sweep(
@@ -186,24 +189,38 @@ def run_queue_sweep(
     metrics=None,
     spans=None,
     *,
-    queue_dir: str | Path,
+    queue_dir: str | Path | None = None,
     lease_ttl_s: float = 30.0,
     poison_after: int = 3,
     poll_s: float = 0.1,
     drain=None,
     max_respawns: int | None = None,
-    spawn=_spawn_worker,
+    spawn=_start_worker,
 ) -> SweepReport:
-    """Run a sweep through the durable work queue (see module doc).
+    """Run a sweep on ``workers`` worker processes (see module doc).
 
-    The drop-in queue counterpart of
-    :func:`~repro.parallel.run_parallel_sweep`: same resume semantics,
-    same journal records (written by the parent, in canonical order),
-    same :class:`SweepReport` shape — ok outcomes carry a
-    :class:`QueueCellResult` display shim instead of a full result.
+    The multi-process counterpart of
+    :meth:`~repro.experiments.runner.BatchRunner.run_sweep`: same resume
+    semantics, same journal records (written by the parent, in
+    canonical order), same :class:`SweepReport` shape — ok outcomes
+    carry a :class:`QueueCellResult` instead of an
+    ``ExperimentResult``.  Without ``queue_dir`` the sweep runs on a
+    private queue in a temporary directory, removed after the merge;
+    ``--resume`` then works from the journal alone.  ``spawn(queue_dir,
+    worker_id)`` starts one worker (tests inject their own).
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
+    if queue_dir is None:
+        with tempfile.TemporaryDirectory(
+            prefix="repro-queue-", ignore_cleanup_errors=True,
+        ) as private:
+            return run_queue_sweep(
+                cells, workers, policy, journal, resume, bus, metrics,
+                spans, queue_dir=private, lease_ttl_s=lease_ttl_s,
+                poison_after=poison_after, poll_s=poll_s, drain=drain,
+                max_respawns=max_respawns, spawn=spawn,
+            )
     policy = policy or RunPolicy()
     journal = journal or SweepJournal(None)
     queue_dir = Path(queue_dir)
@@ -244,19 +261,26 @@ def run_queue_sweep(
         for key in resumed_keys:
             bus.emit(CellFinished(key, CELL_RESUMED, 0))
 
-    interrupted = False
-    if store.order and not store.all_terminal():
-        interrupted = _supervise(
-            store, queue_dir, workers, bus=bus, metrics=metrics,
-            poll_s=poll_s, drain=drain, max_respawns=max_respawns,
-            spawn=spawn,
+    def merge(interrupted: bool) -> SweepReport:
+        return _merge(
+            store, cells, resumed_keys, journal,
+            bus=bus, metrics=metrics, spans=spans,
+            interrupted=interrupted, policy=policy,
         )
 
-    report = _merge(
-        store, cells, resumed_keys, journal,
-        bus=bus, metrics=metrics, spans=spans,
-        interrupted=interrupted, policy=policy,
-    )
+    interrupted = False
+    if store.order and not store.all_terminal():
+        try:
+            interrupted = _supervise(
+                store, workers, bus=bus, metrics=metrics,
+                poll_s=poll_s, drain=drain, max_respawns=max_respawns,
+                spawn=spawn,
+            )
+        except ExperimentError:
+            merge(interrupted=True)  # journal what finished, then fail
+            raise
+
+    report = merge(interrupted)
     if bus is not None:
         bus.emit(SweepFinished(
             len(report.completed), len(report.failures),
@@ -272,7 +296,6 @@ def run_queue_sweep(
 
 def _supervise(
     store: QueueStore,
-    queue_dir: Path,
     workers: int,
     *,
     bus,
@@ -284,7 +307,7 @@ def _supervise(
 ) -> bool:
     """Worker fleet + reclaimer + event translation until the queue is
     terminal (returns False) or a drain cuts it short (True)."""
-    fleet = _WorkerFleet(queue_dir, workers, max_respawns, spawn)
+    fleet = _WorkerFleet(store.root, workers, max_respawns, spawn)
     started: set[str] = set()
     finished: set[str] = set()
     heartbeats_seen: dict[str, float] = {}
@@ -298,25 +321,31 @@ def _supervise(
                     "drain: asking %d worker(s) to finish or checkpoint",
                     len(fleet.procs),
                 )
-                fleet.terminate(grace_s)
+                fleet.stop(grace_s)
                 return True
+            crashed = fleet.reap_and_respawn()
+            suspects = []
+            for worker_id in crashed:
+                # a dead worker renews nothing: take its lease back now
+                suspects += [
+                    event.key
+                    for event in store.reclaim_expired(worker=worker_id)
+                ]
             store.reclaim_expired()
             events, reclaim_offset = store.reclaims_since(reclaim_offset)
             _emit_reclaims(events, bus, metrics)
+            if crashed:
+                if metrics is not None:
+                    metrics.counter("runtime.worker_crashes").inc(
+                        len(crashed)
+                    )
+                if bus is not None:
+                    bus.emit(WorkerCrashed(tuple(suspects)))
             _emit_transitions(store, started, finished, bus)
             _emit_heartbeats(store, heartbeats_seen, bus)
             if store.all_terminal():
+                fleet.stop(grace_s, settle_s=0.5)
                 return False
-            crashed = fleet.reap_and_respawn()
-            if crashed:
-                if metrics is not None:
-                    metrics.counter("runtime.worker_crashes").inc(crashed)
-                if bus is not None:
-                    suspects = tuple(
-                        key for key, state in store.states().items()
-                        if state == LEASED
-                    )
-                    bus.emit(WorkerCrashed(suspects))
             if not fleet.any_alive:
                 raise ExperimentError(
                     "queue", 0,
@@ -330,7 +359,7 @@ def _supervise(
             else:
                 time.sleep(poll_s)
     finally:
-        fleet.terminate(grace_s)
+        fleet.stop(grace_s)
 
 
 def _emit_reclaims(events, bus, metrics) -> None:
@@ -469,12 +498,10 @@ def _merge_inner(
                 result=QueueCellResult(
                     name=cell.name,
                     n_threads=cell.n_threads,
-                    stack=StackView(
-                        actual_speedup=record.get("actual_speedup"),
-                        truncated=record.get(
-                            "stack_truncated", record["truncated"]
-                        ),
-                    ),
+                    stack=SpeedupStack(**record["stack"]),
+                    parallelization_overhead=record[
+                        "parallelization_overhead"
+                    ],
                 ),
                 metrics=record.get("metrics"),
             ))

@@ -35,7 +35,7 @@ into the new one, both on the same filesystem.
   its lease to the reclaimer can never renew or complete over the new
   owner.
 * **Everything is rebuildable.**  The manifest holds the full
-  serialized :class:`~repro.parallel.CellSpec` of every cell, so a
+  serialized :class:`~repro.queue.cells.CellSpec` of every cell, so a
   corrupt or vanished state file is reconstructed from the manifest by
   the reclaimer instead of stranding the cell.
 
@@ -59,12 +59,12 @@ from pathlib import Path
 from repro.checkpoint import read_header
 from repro.errors import CheckpointError, ConfigError
 from repro.experiments.runner import RunPolicy
-from repro.parallel import CellSpec
-from repro.workloads.spec import BenchmarkSpec
+from repro.queue.cells import CellSpec, cell_from_dict, cell_to_dict
 
 logger = logging.getLogger(__name__)
 
-MANIFEST_VERSION = 1
+#: 2: done records carry the whole speedup stack
+MANIFEST_VERSION = 2
 MANIFEST_NAME = "queue.json"
 #: append-only log of reclaim events: idle workers reclaim too, and
 #: the driver reports every expiry from here, not only its own
@@ -95,32 +95,6 @@ def _fsync_dir(path: Path) -> None:
         os.fsync(fd)
     finally:
         os.close(fd)
-
-
-def cell_to_dict(cell: CellSpec) -> dict:
-    return {
-        "key": cell.key,
-        "spec": asdict(cell.spec),
-        "n_threads": cell.n_threads,
-        "scale": cell.scale,
-        "fault": cell.fault,
-        "fault_seed": cell.fault_seed,
-        "machine_json": cell.machine_json,
-    }
-
-
-def cell_from_dict(doc: dict) -> CellSpec:
-    spec_doc = dict(doc["spec"])
-    # JSON has no tuples; BenchmarkSpec is frozen/hashable and needs one
-    spec_doc["expected_top"] = tuple(spec_doc.get("expected_top", ()))
-    return CellSpec(
-        spec=BenchmarkSpec(**spec_doc),
-        n_threads=doc["n_threads"],
-        scale=doc["scale"],
-        fault=doc["fault"],
-        fault_seed=doc["fault_seed"],
-        machine_json=doc["machine_json"],
-    )
 
 
 @dataclass
@@ -173,7 +147,7 @@ class QueueStore:
             raise ConfigError(
                 f"no queue manifest at {self._manifest_path}; create the "
                 "queue with QueueStore.create (or repro sweep "
-                "--backend queue)"
+                "--queue-dir)"
             )
         with open(self._manifest_path) as handle:
             manifest = json.load(handle)
@@ -347,16 +321,39 @@ class QueueStore:
     # the lease protocol
     # ------------------------------------------------------------------
 
-    def claim(self, worker: str, now: float | None = None) -> Lease | None:
-        """Claim the first claimable pending cell, or None.
+    def claim(
+        self, worker: str, now: float | None = None, after: str | None = None
+    ) -> Lease | None:
+        """Claim a claimable pending cell, or None.
 
         Single-winner under any number of concurrent claimers; cells
         whose ``not_before`` backoff lies in the future are skipped.
+        Claims follow the single-threaded reference memo of the
+        worker's warm runner: a worker takes the next cell of the family
+        (:attr:`CellSpec.family`) of ``after`` — the cell it just ran —
+        and otherwise a cell of a family no worker has started, so each
+        benchmark's ``Ts`` is measured once per sweep, as in a serial
+        sweep.  Ties keep manifest order; a lost race re-ranks.
         """
         now = time.time() if now is None else now
-        for key in self.order:
-            if not (self.root / PENDING / _fname(key)).exists():
-                continue
+        mine = self.cells[after].family if after in self.cells else None
+        backed_off: set[str] = set()
+        while True:
+            pending = self._listed(PENDING) - backed_off
+            candidates = [key for key in self.order if key in pending]
+            if not candidates:
+                return None
+            started = {
+                self.cells[key].family
+                for key in self.order if key not in pending
+            }
+            key = min(
+                candidates,
+                key=lambda key: (
+                    self.cells[key].family != mine,
+                    self.cells[key].family in started,
+                ),
+            )
             taken = self._take(PENDING, key)
             if taken is None:
                 continue  # lost the claim race
@@ -371,6 +368,7 @@ class QueueStore:
                 }
             if record.get("not_before", 0.0) > now:
                 self._put(PENDING, key, record, consume=tmp)
+                backed_off.add(key)
                 continue
             token = record.get("lease_seq", 0) + 1
             expiries = record.get("expiries", 0)
@@ -392,7 +390,6 @@ class QueueStore:
                 deadline=leased["deadline"],
                 expiries=expiries,
             )
-        return None
 
     def _take_owned(self, lease: Lease) -> tuple[dict, Path] | None:
         """Move the lease file out iff ``lease`` still owns it."""
@@ -479,9 +476,13 @@ class QueueStore:
     # ------------------------------------------------------------------
 
     def reclaim_expired(
-        self, now: float | None = None
+        self, now: float | None = None, worker: str | None = None
     ) -> list[ReclaimEvent]:
         """Return expired (or corrupt) leases to the queue.
+
+        ``worker`` names a worker known to be dead: its leases count as
+        expired at once, whatever their deadline, so a crashed worker's
+        cell is requeued without waiting out the TTL.
 
         Requeued cells get an exponential-backoff-with-jitter
         ``not_before`` (the run policy's deterministic
@@ -501,7 +502,7 @@ class QueueStore:
             try:
                 with open(path) as handle:
                     record = json.load(handle)
-                expired = record.get("deadline", 0.0) <= now
+                expired = self._expired(record, now, worker)
             except FileNotFoundError:
                 continue
             except (json.JSONDecodeError, OSError):
@@ -519,7 +520,7 @@ class QueueStore:
                     "expiries": self._expiry_memory.get(key, 0),
                     "lease_seq": self._expiry_memory.get(key, 0) + 1,
                 }
-            elif record.get("deadline", 0.0) > now:
+            elif not self._expired(record, now, worker):
                 # renewed between our scan and our take: put it back
                 self._put(LEASED, key, record, consume=tmp)
                 continue
@@ -568,6 +569,14 @@ class QueueStore:
                     json.dumps(asdict(event)) + "\n" for event in events
                 ))
         return events
+
+    @staticmethod
+    def _expired(record: dict, now: float, dead_worker: str | None) -> bool:
+        return (
+            record.get("deadline", 0.0) <= now
+            or (dead_worker is not None
+                and record.get("worker") == dead_worker)
+        )
 
     def reclaims_since(self, offset: int) -> tuple[list[ReclaimEvent], int]:
         """Reclaim events logged from byte ``offset`` on (complete lines
@@ -641,11 +650,17 @@ class QueueStore:
                 return state
         return None
 
+    def _listed(self, state: str) -> set[str]:
+        """Keys with a file in one state directory (one listdir)."""
+        return {
+            name.removesuffix(".json").replace("@", ":")
+            for name in os.listdir(self.root / state)
+        }
+
     def states(self) -> dict[str, str | None]:
         present: dict[str, str | None] = dict.fromkeys(self.order)
         for state in STATES:
-            for path in (self.root / state).iterdir():
-                key = path.name.removesuffix(".json").replace("@", ":")
+            for key in self._listed(state):
                 if key in present:
                     present[key] = state
         return present

@@ -2,7 +2,9 @@
 
 A :class:`QueueWorker` attaches to a queue directory and loops:
 
-1. claim the first claimable pending cell (single-winner rename);
+1. claim a pending cell (single-winner rename), preferring the next
+   cell of the benchmark it just ran so its warm runner's
+   single-threaded reference memo hits;
 2. start a renewal thread that extends the lease every TTL/3 and
    refreshes the worker's heartbeat file;
 3. run the cell through the standard
@@ -18,7 +20,9 @@ A :class:`QueueWorker` attaches to a queue directory and loops:
 
 Idle workers run the reclaimer, so a fleet of bare ``repro worker``
 processes is self-sufficient: no parent needed for liveness, only for
-the final journal merge.  A worker exits 0 once every cell is terminal,
+the final journal merge.  ``repro sweep -j N`` forks its workers
+straight into :func:`worker_main`; ``repro worker DIR`` runs the same
+loop for an external fleet.  A worker exits 0 once every cell is terminal,
 and :data:`~repro.robustness.drain.EXIT_DRAINED` when drained by
 SIGTERM/SIGINT — mid-cell the engine checkpoints first (when
 checkpointing is armed), then the lease is released with no expiry
@@ -44,15 +48,16 @@ from __future__ import annotations
 
 import logging
 import os
+import sys
 import threading
 import time
+from dataclasses import asdict
 
 from repro.checkpoint import read_header
-from repro.core.components import STACK_ORDER
 from repro.errors import CheckpointError
 from repro.experiments.runner import BatchRunner, CELL_OK
 from repro.observability.spans import SpanRecorder, maybe_span
-from repro.parallel import CellSpec, WorkerCaches
+from repro.queue.cells import CellSpec
 from repro.queue.store import Lease, QueueStore
 from repro.robustness.drain import (
     EXIT_DRAINED,
@@ -174,7 +179,7 @@ class _LeaseRenewer(threading.Thread):
 
 def result_record(outcome, resumed_from_cycle: int | None = None) -> dict:
     """Reduce a :class:`~repro.experiments.runner.CellOutcome` to the
-    terminal queue record (journal-shaped fields + display extras)."""
+    terminal queue record (journal-shaped fields + extras)."""
     if outcome.status == CELL_OK:
         result = outcome.result
         record = {
@@ -185,16 +190,14 @@ def result_record(outcome, resumed_from_cycle: int | None = None) -> dict:
         }
         if outcome.metrics is not None:
             record["metrics"] = outcome.metrics
-        # display/diagnostic extras: never merged into the journal
-        record["actual_speedup"] = result.stack.actual_speedup
-        record["stack_truncated"] = result.stack.truncated
-        # the full component breakdown (deterministic), so `repro
-        # report` can render the speedup stacks of a queue sweep
-        segments = result.stack.segments()
-        record["estimated_speedup"] = result.stack.estimated_speedup
-        record["stack_segments"] = {
-            comp.label: segments[comp] for comp in STACK_ORDER
-        }
+        # extras, never merged into the journal: the whole stack in
+        # field order (JSON round-trips its floats exactly, so the
+        # driver rebuilds an equal SpeedupStack) and the Section 6
+        # overhead proxy
+        record["stack"] = asdict(result.stack)
+        record["parallelization_overhead"] = (
+            result.parallelization_overhead
+        )
         if resumed_from_cycle is not None:
             record["resumed_from_cycle"] = resumed_from_cycle
         return record
@@ -231,25 +234,32 @@ class QueueWorker:
         self.poll_s = poll_s
         self.metrics = metrics
         self.cells_run = 0
-        # the same warm-cache layer pool workers use (runner per
-        # (policy, scale, machine) family, memoized machine parse), so
-        # a queue worker amortizes reference runs and trace decodes
-        # across its claimed cells identically; metrics/drain are
-        # per-worker constants, which is exactly what WorkerCaches
-        # requires of runner kwargs
-        self._caches = WorkerCaches()
+        #: warm runners, one per (scale, machine) — the policy is the
+        #: queue's.  A runner memoizes the single-threaded reference of
+        #: every benchmark it has run, so the cells of one benchmark
+        #: share one ``Ts`` measurement here as in a serial sweep.
+        #: Every key part is a frozen input: cells of different
+        #: machines can never share warm state.
+        self._runners: dict[tuple, _QueueRunner] = {}
 
     # -- cell execution -------------------------------------------------
 
     def _runner(self, cell: CellSpec) -> _QueueRunner:
-        return self._caches.runner(
-            self.store.policy,
-            cell.scale,
-            cell.machine_json,
-            runner_cls=_QueueRunner,
-            metrics=self.metrics,
-            drain=self.drain,
-        )
+        key = (cell.scale, cell.machine_json)
+        runner = self._runners.get(key)
+        if runner is None:
+            machine = cell.machine
+            runner = _QueueRunner(
+                policy=self.store.policy,
+                scale=cell.scale,
+                machine_factory=(
+                    machine.with_cores if machine is not None else None
+                ),
+                metrics=self.metrics,
+                drain=self.drain,
+            )
+            self._runners[key] = runner
+        return runner
 
     def _run_cell(
         self, lease: Lease, spans: SpanRecorder | None = None
@@ -280,8 +290,7 @@ class QueueWorker:
         runner._try_resume = _noting_try_resume
         # the cell's own spans (trace.decode, engine.advance, ...) nest
         # under queue.run via the runner's thread-local span stack;
-        # runner.spans is a mutable attribute outside the WorkerCaches
-        # key, re-pointed per cell exactly like the pool workers do
+        # runner.spans is re-pointed per cell, outside the runner key
         runner.spans = spans
         try:
             with maybe_span(spans, "queue.run", cat="queue", key=cell.key):
@@ -314,6 +323,7 @@ class QueueWorker:
             self.worker_id, store.root, len(store.order),
             store.lease_ttl_s,
         )
+        last_key = None
         while True:
             if self.drain.requested:
                 self._heartbeat(None)
@@ -326,7 +336,7 @@ class QueueWorker:
                 if store.collect_spans else None
             )
             t_claim = recorder.now_us() if recorder is not None else 0
-            lease = store.claim(self.worker_id)
+            lease = store.claim(self.worker_id, after=last_key)
             if lease is None:
                 recorder = None
                 if run_reclaimer:
@@ -374,6 +384,7 @@ class QueueWorker:
                 # and never journals it (spans are wall-clock)
                 record["spans"] = recorder.to_dicts()
             self.cells_run += 1
+            last_key = lease.key
             if not store.complete(lease, record):
                 logger.warning(
                     "worker %s: lost lease on %s before completion; "
@@ -395,3 +406,15 @@ def run_worker(
         store, worker_id=worker_id, drain=drain, poll_s=poll_s
     )
     return worker.run()
+
+
+def worker_main(queue_dir: str, worker_id: str) -> None:
+    """Body of a worker process forked by ``repro sweep -j N``.
+
+    A forked child inherits the parent's signal handlers, which would
+    flag the *parent's* drain controller; the worker installs its own
+    so SIGTERM/SIGINT drain this process.  Exits with
+    :func:`run_worker`'s code.
+    """
+    drain = DrainController().install()
+    sys.exit(run_worker(queue_dir, worker_id=worker_id, drain=drain))

@@ -52,10 +52,10 @@ class SweepJournal:
     def __init__(self, path: str | None = None) -> None:
         self.path = path
         self.cells: dict[str, dict] = {}
-        # Journal writes must stay in the process that opened it: the
-        # parallel sweep driver ships a journal-less runner to its
-        # workers and appends records in the parent as results come
-        # back, so two finishing cells can never interleave a write.
+        # Journal writes must stay in the process that opened it: queue
+        # workers never see the journal, and the driver appends every
+        # record in the parent, so two finishing cells can never
+        # interleave a write.
         self._owner_pid = os.getpid()
         if path is not None and os.path.exists(path):
             self._load(path)

@@ -1,17 +1,18 @@
-"""Parallel sweeps with cell checkpoints: worker-kill quarantine-resume
-and journal byte-equivalence with the serial path.
+"""``--jobs N`` sweeps with cell checkpoints: worker-kill quarantine,
+resume, and journal byte-equivalence with the serial path.
 
-Checkpoint-enabled parallel sweeps must keep the ``repro.parallel``
-contract: journals byte-identical to serial, and a killed worker's cell
-heals on ``--resume`` with identical results.
+Checkpoint-enabled queue sweeps must keep the executor's contract:
+journals byte-identical to serial, and a killed worker's quarantined
+cell heals on ``--resume`` with identical results.
 """
 
 from __future__ import annotations
 
 import pytest
 
+from repro.cli import main
 from repro.experiments.runner import BatchRunner, RunPolicy
-from repro.parallel import WORKER_CRASH, cells_from_sweep, run_parallel_sweep
+from repro.queue import POISON_CELL, cells_from_sweep, run_queue_sweep
 from repro.robustness.journal import SweepJournal
 from repro.workloads.suite import sweep_cells
 
@@ -38,13 +39,14 @@ def _serial(tmp_path, journal_path):
     return runner.run_sweep(sweep_cells(BENCHMARKS, THREADS))
 
 
-def _parallel(tmp_path, journal_path, resume=False):
-    return run_parallel_sweep(
+def _parallel(tmp_path, journal_path, resume=False, **kwargs):
+    return run_queue_sweep(
         cells_from_sweep(sweep_cells(BENCHMARKS, THREADS), scale=SCALE),
-        jobs=2,
+        workers=2,
         policy=_policy(tmp_path),
         journal=SweepJournal(str(journal_path)),
         resume=resume,
+        **kwargs,
     )
 
 
@@ -63,17 +65,17 @@ def test_checkpointed_parallel_matches_serial_journal(tmp_path):
 
 
 def test_worker_kill_then_checkpoint_resume(tmp_path, monkeypatch):
-    """Kill the worker running the victim cell, then ``--resume``: the
-    sweep heals and its journal converges byte-for-byte on a clean
-    run's."""
+    """Kill the worker running the victim cell (one death quarantines
+    it), then ``--resume``: the sweep heals and its journal converges
+    byte-for-byte on a clean run's."""
     clean_journal = tmp_path / "clean.json"
     _serial(tmp_path / "clean", clean_journal)
 
     journal = tmp_path / "journal.json"
     monkeypatch.setenv("REPRO_TEST_KILL_CELL", VICTIM)
-    crashed = _parallel(tmp_path / "kill", journal)
+    crashed = _parallel(tmp_path / "kill", journal, poison_after=1)
     assert [o.key for o in crashed.failures] == [VICTIM]
-    assert crashed.failures[0].error_type == WORKER_CRASH
+    assert crashed.failures[0].error_type == POISON_CELL
 
     monkeypatch.delenv("REPRO_TEST_KILL_CELL")
     resumed = _parallel(tmp_path / "kill", journal, resume=True)
@@ -109,14 +111,25 @@ def test_unknown_checkpoint_dir_parent_is_created(tmp_path):
 
 
 @pytest.mark.parametrize("jobs", [1])
-def test_jobs_one_uses_serial_path_with_checkpoints(tmp_path, jobs):
-    """--jobs 1 goes through the in-process runner; checkpoint config
-    must not break that degenerate case."""
+def test_jobs_one_uses_serial_path_with_checkpoints(
+    tmp_path, jobs, capsys, monkeypatch
+):
+    """``sweep --jobs 1`` goes through the in-process runner (no queue
+    is created); checkpoint config must not break that degenerate
+    case."""
+    import repro.cli
+
+    def no_queue(*args, **kwargs):
+        raise AssertionError("--jobs 1 must not start a queue sweep")
+
+    monkeypatch.setattr(repro.cli, "run_queue_sweep", no_queue)
     journal = tmp_path / "j.json"
-    report = run_parallel_sweep(
-        cells_from_sweep(sweep_cells(("cholesky",), (2,)), scale=SCALE),
-        jobs=jobs,
-        policy=_policy(tmp_path),
-        journal=SweepJournal(str(journal)),
-    )
-    assert [o.status for o in report.outcomes] == ["ok"]
+    rc = main([
+        "sweep", "--benchmarks", "cholesky", "-n", "2",
+        "--scale", str(SCALE), "--max-cycles", "2000000",
+        "--jobs", str(jobs), "--journal", str(journal),
+        "--checkpoint-dir", str(tmp_path / "ckpts"),
+        "--checkpoint-every", "2000",
+    ])
+    assert rc == 0
+    assert "1 ok, 0 resumed, 0 failed" in capsys.readouterr().out

@@ -14,7 +14,7 @@ import json
 from repro.experiments.runner import BatchRunner, RunPolicy
 from repro.observability.metrics import MetricsRegistry
 from repro.observability.spans import SpanRecorder
-from repro.parallel import CellSpec, run_parallel_sweep
+from repro.queue import CellSpec, run_queue_sweep
 from repro.robustness.journal import SweepJournal
 from repro.workloads.suite import by_name
 
@@ -34,9 +34,9 @@ def serial_journal(path, metrics=None, spans=None):
 
 def parallel_journal(path, metrics=None, spans=None):
     journal = SweepJournal(str(path))
-    run_parallel_sweep(
+    run_queue_sweep(
         [CellSpec(by_name(name), n, scale=SCALE) for name, n in CELLS],
-        jobs=2, policy=RunPolicy(), journal=journal, metrics=metrics,
+        workers=2, policy=RunPolicy(), journal=journal, metrics=metrics,
         spans=spans,
     )
     return path.read_bytes()
@@ -84,7 +84,7 @@ class TestEnabledPath:
 class TestSpansDifferential:
     """Spans are wall-clock, so enabling them must leave journal bytes
     untouched — for the serial runner and for ``--jobs 2`` (where
-    worker spans travel inside the chunk payload)."""
+    worker spans travel on the queue's done records)."""
 
     def test_serial_journal_unchanged_by_spans(self, tmp_path):
         plain = serial_journal(tmp_path / "plain.json")
@@ -101,9 +101,9 @@ class TestSpansDifferential:
         )
         assert with_spans == plain
         # worker-side cell spans crossed the process boundary and were
-        # absorbed under the parent's chunk.dispatch spans
+        # absorbed under the parent's queue.merge span
         names = {row["name"] for row in recorder.to_dicts()}
-        assert "chunk.dispatch" in names
+        assert "queue.merge" in names
         assert "engine.advance" in names
 
     def test_spans_and_metrics_together_add_only_metrics(self, tmp_path):

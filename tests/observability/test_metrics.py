@@ -17,7 +17,7 @@ from repro.observability.metrics import (
     harvest_cell_metrics,
     metric_key,
 )
-from repro.parallel import CellSpec, run_parallel_sweep
+from repro.queue import CellSpec, run_queue_sweep
 from repro.workloads.spec import build_program
 from repro.workloads.suite import by_name
 
@@ -150,10 +150,10 @@ class TestSerialParallelEquality:
             runner.run_cell(by_name(name), n_threads)
 
         parallel = MetricsRegistry()
-        run_parallel_sweep(
+        run_queue_sweep(
             [CellSpec(by_name(name), n, scale=SCALE)
              for name, n in self.CELLS],
-            jobs=2, policy=policy, metrics=parallel,
+            workers=2, policy=policy, metrics=parallel,
         )
 
         assert serial.subset("sim.") == parallel.subset("sim.")

@@ -142,9 +142,8 @@ class TestJournalSource:
 class TestQueueSource:
     def test_real_queue_sweep_report(self, tmp_path):
         from repro.experiments.runner import RunPolicy
-        from repro.queue import run_queue_sweep
         from repro.observability.spans import SpanRecorder
-        from repro.parallel import CellSpec
+        from repro.queue import CellSpec, run_queue_sweep
         from repro.robustness.journal import SweepJournal
         from repro.workloads.suite import by_name
 

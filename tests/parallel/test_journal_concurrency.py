@@ -1,4 +1,4 @@
-"""Journal concurrency guarantees under parallel execution.
+"""Journal concurrency guarantees under ``--jobs N`` execution.
 
 Two properties keep the journal sound when cells run on worker
 processes:
@@ -20,7 +20,7 @@ import os
 import pytest
 
 from repro.experiments.runner import RunPolicy
-from repro.parallel import cells_from_sweep, run_parallel_sweep
+from repro.queue import cells_from_sweep, run_queue_sweep
 from repro.robustness.journal import SweepJournal
 from repro.workloads.suite import sweep_cells
 
@@ -80,9 +80,9 @@ def test_parallel_journal_states_never_interleave(tmp_path):
     torn or interleaved writes at any intermediate point."""
     cells = sweep_cells(("cholesky", "blackscholes_small"), (2, 4))
     journal = _SnapshottingJournal(str(tmp_path / "journal.json"))
-    run_parallel_sweep(
+    run_queue_sweep(
         cells_from_sweep(cells, scale=0.2),
-        jobs=2,
+        workers=2,
         policy=RunPolicy(on_error="skip", max_cycles=2_000_000),
         journal=journal,
     )
@@ -100,12 +100,12 @@ def test_parallel_journal_states_never_interleave(tmp_path):
 
 def test_worker_processes_never_touch_the_journal_file(tmp_path):
     """The journal file is created by the parent only: a journal-less
-    parallel sweep leaves the directory empty."""
+    queue sweep leaves the directory empty."""
     cells = sweep_cells(("cholesky",), (2,))
     before = set(os.listdir(tmp_path))
-    run_parallel_sweep(
+    run_queue_sweep(
         cells_from_sweep(cells, scale=0.2),
-        jobs=2,
+        workers=2,
         policy=RunPolicy(on_error="skip", max_cycles=2_000_000),
         journal=SweepJournal(None),
     )

@@ -5,8 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.experiments.runner import RunPolicy
-from repro.parallel import CellSpec
-from repro.queue import QueueStore
+from repro.queue import CellSpec, QueueStore
 
 
 @pytest.fixture

@@ -1,4 +1,4 @@
-"""The chaos harness: the acceptance invariant for the queue backend.
+"""The chaos harness: the acceptance invariant for the sweep executor.
 
 A 3-worker queue sweep with a worker SIGKILLed mid-cell (right after a
 checkpoint save), a second worker whose heartbeat stalls mid-lease,
@@ -7,8 +7,9 @@ and a third killed the instant it claims a cell must still:
 * complete every cell and finish with a clean report;
 * write a journal byte-identical to the serial run's;
 * resume the killed cell from its checkpoint, not from cycle 0;
-* reclaim every orphaned lease via TTL expiry (observable in the
-  ``runtime.*`` counters).
+* reclaim every orphaned lease — a dead worker's at once when the
+  driver reaps it, a stalled one's by TTL expiry — observable in the
+  ``runtime.*`` counters.
 
 The chaos hooks are one-shot (``chaos/`` markers), so respawned
 workers do not re-die on the same cell and the sweep converges.
@@ -21,8 +22,7 @@ import pytest
 from repro.experiments.runner import BatchRunner, RunPolicy
 from repro.observability.events import EventBus, LeaseExpired
 from repro.observability.metrics import MetricsRegistry
-from repro.parallel import cells_from_sweep
-from repro.queue import QueueStore, run_queue_sweep
+from repro.queue import QueueStore, cells_from_sweep, run_queue_sweep
 from repro.robustness.journal import SweepJournal
 from repro.workloads.suite import sweep_cells
 
@@ -90,7 +90,7 @@ def test_chaos_sweep_matches_serial(tmp_path, monkeypatch, serial_journal):
     assert done["resumed_from_cycle"] >= CHECKPOINT_EVERY
 
     # both kill modes orphaned a lease the reclaimer had to expire
-    # (the reclaimer runs every driver poll, well inside 2x TTL)
+    # (the driver expires a dead worker's lease when it reaps it)
     assert metrics.counter("runtime.lease_expiries").value >= 2
     assert metrics.counter("runtime.requeues").value >= 2
     assert metrics.counter("runtime.quarantined").value == 0

@@ -1,7 +1,7 @@
 """Queue-sweep driver: journal byte-identity, resume, quarantine merge.
 
-These tests run real worker subprocesses (the default spawn) over the
-tiny fixture benchmark — fast enough for tier 1; the heavyweight chaos
+These tests run real forked worker processes (the default spawn) over
+the tiny fixture benchmark — fast enough for tier 1; the heavyweight chaos
 scenarios live in ``test_chaos.py``.
 """
 
@@ -160,3 +160,42 @@ class TestQuarantineMerge:
         assert [o.key for o in report.completed] == ["tiny:4"]
         assert metrics.counter("runtime.cells_failed").value == 1
         assert metrics.counter("runtime.cells_ok").value == 1
+
+
+class TestAffinity:
+    def test_one_reference_per_benchmark(self, tmp_path, monkeypatch):
+        """Claims follow the workers' ST-reference memos: on a 6-cell
+        sweep at ``-j 2`` each benchmark's single-threaded reference
+        runs exactly once, as in a serial sweep.  Two equal-cost
+        benchmarks whose last cell (N=16) is the longest keep either
+        worker from running out of its own benchmark while the other
+        still has cells to claim."""
+        import dataclasses
+
+        import repro.experiments.runner as runner_module
+        from repro.queue import cells_from_sweep
+        from repro.workloads.suite import by_name
+
+        log = tmp_path / "references.log"
+        real = runner_module.run_reference
+
+        def logged(machine, program, **kwargs):
+            with open(log, "a") as handle:  # one O_APPEND line per run
+                handle.write(program.name + "\n")
+            return real(machine, program, **kwargs)
+
+        # forked workers inherit the patch
+        monkeypatch.setattr(runner_module, "run_reference", logged)
+        spec = by_name("cholesky")
+        twin = dataclasses.replace(spec, name="cholesky-twin")
+        cells = cells_from_sweep(
+            [(s, n) for s in (spec, twin) for n in (2, 4, 16)], scale=0.2,
+        )
+        report = run_queue_sweep(
+            cells, workers=2, policy=POLICY,
+            journal=SweepJournal(None),
+        )
+        assert report.ok and len(report.completed) == 6
+        assert sorted(log.read_text().split()) == [
+            "cholesky", "cholesky-twin",
+        ]

@@ -22,8 +22,7 @@ from pathlib import Path
 import pytest
 
 from repro.experiments.runner import RunPolicy
-from repro.parallel import cells_from_sweep
-from repro.queue import PENDING, QueueStore
+from repro.queue import PENDING, QueueStore, cells_from_sweep
 from repro.robustness.drain import EXIT_DRAINED, EXIT_INTERRUPTED
 from repro.workloads.suite import sweep_cells
 

@@ -18,13 +18,13 @@ from pathlib import Path
 
 from repro.checkpoint import read_header
 from repro.experiments.runner import BatchRunner, RunPolicy
-from repro.parallel import cells_from_sweep
 from repro.queue import (
     DONE,
     LEASED,
     PENDING,
     QueueStore,
     QueueWorker,
+    cells_from_sweep,
     run_queue_sweep,
 )
 from repro.queue.worker import KILL_AFTER_SAVE_EXIT
