@@ -90,31 +90,74 @@ def test_warm_worker_mixed_machines_match_cold(tmp_path):
     assert len(worker._runners) == 2
 
 
-def test_crash_keeps_completed_cells(tmp_path, monkeypatch):
-    """Kill the only worker on the last cell: the three cells it
-    completed before dying stay done — journaled with their original
-    attempt counts, never re-executed — only the victim fails, and a
+def test_crash_mid_chunk_spills_completed_cells(tmp_path, monkeypatch):
+    """Kill a worker in the middle of a sweep on two workers: every cell
+    completed before the death stays done (journaled, not re-executed),
+    only the victim fails, the cells behind it still finish, and a
     ``--resume`` run converges on the serial journal."""
-    sweep = sweep_cells(("cholesky", "facesim_small"), (2, 4))
+    benchmarks = ("cholesky", "blackscholes_small", "facesim_small")
+    sweep = sweep_cells(benchmarks, (2, 4))
     serial_journal = tmp_path / "serial.json"
     # both sides collect metrics (they become journal entries, so the
     # byte comparison needs them on the serial side too)
-    BatchRunner(
+    serial_report = BatchRunner(
         policy=POLICY, scale=SCALE,
         journal=SweepJournal(str(serial_journal)),
         metrics=MetricsRegistry(),
     ).run_sweep(sweep)
+    assert not serial_report.failures
 
-    victim = f"{sweep[-1][0].full_name}:{sweep[-1][1]}"
+    # sweep order is benchmark-major: the victim at index 3 has cells
+    # on both sides of it
+    victim = "blackscholes_small:4"
+    assert [f"{s.full_name}:{n}" for s, n in sweep][3] == victim
     monkeypatch.setenv("REPRO_TEST_KILL_CELL", victim)
     journal = tmp_path / "journal.json"
+    metrics = MetricsRegistry()
+    crashed = run_queue_sweep(
+        cells_from_sweep(sweep, scale=SCALE),
+        workers=2,
+        policy=POLICY,
+        journal=SweepJournal(str(journal)),
+        metrics=metrics,
+        poison_after=1,  # one death quarantines the victim
+    )
+    assert [o.key for o in crashed.failures] == [victim]
+    assert crashed.failures[0].error_type == POISON_CELL
+    assert len(crashed.completed) == len(sweep) - 1
+    assert metrics.counter("runtime.cells_ok").value == len(sweep) - 1
+    assert metrics.counter("runtime.worker_crashes").value == 1
+
+    monkeypatch.delenv("REPRO_TEST_KILL_CELL")
+    resumed = run_queue_sweep(
+        cells_from_sweep(sweep, scale=SCALE),
+        workers=2,
+        policy=POLICY,
+        journal=SweepJournal(str(journal)),
+        resume=True,
+        metrics=MetricsRegistry(),
+    )
+    statuses = {o.key: o.status for o in resumed.outcomes}
+    assert statuses.pop(victim) == "ok"
+    assert set(statuses.values()) == {"resumed"}
+    assert journal.read_bytes() == serial_journal.read_bytes()
+
+
+def test_spilled_cells_not_reexecuted(tmp_path, monkeypatch):
+    """The over-retry regression: when the only worker dies on the last
+    cell, the three cells it completed before dying are journaled with
+    their original attempt counts — not re-run (which would also double
+    any side effects)."""
+    sweep = sweep_cells(("cholesky", "facesim_small"), (2, 4))
+    victim = f"{sweep[-1][0].full_name}:{sweep[-1][1]}"
+    monkeypatch.setenv("REPRO_TEST_KILL_CELL", victim)
     metrics = MetricsRegistry()
     spans = SpanRecorder()
     report = run_queue_sweep(
         cells_from_sweep(sweep, scale=SCALE),
         workers=1,
         policy=POLICY,
-        journal=SweepJournal(str(journal)),
+        journal=SweepJournal(str(tmp_path / "journal.json")),
         metrics=metrics,
         spans=spans,
         poison_after=1,  # one death quarantines the victim
@@ -130,17 +173,3 @@ def test_crash_keeps_completed_cells(tmp_path, monkeypatch):
         if row["name"] == "queue.run"
     ]
     assert sorted(runs) == sorted(o.key for o in report.completed)
-
-    monkeypatch.delenv("REPRO_TEST_KILL_CELL")
-    resumed = run_queue_sweep(
-        cells_from_sweep(sweep, scale=SCALE),
-        workers=2,
-        policy=POLICY,
-        journal=SweepJournal(str(journal)),
-        resume=True,
-        metrics=MetricsRegistry(),
-    )
-    statuses = {o.key: o.status for o in resumed.outcomes}
-    assert statuses.pop(victim) == "ok"
-    assert set(statuses.values()) == {"resumed"}
-    assert journal.read_bytes() == serial_journal.read_bytes()
