@@ -141,11 +141,12 @@ def run_accounted(
 
 
 def _advance(kernel: SimulationKernel, spans, warm: bool = True) -> SimResult:
-    """Run ``kernel`` to completion inside an ``engine.advance`` span,
-    timing its children: ``engine.warm`` (the cache warmup, a step to
-    cycle 0) and ``engine.loop`` (the rest).  ``warm=False`` is for an
-    already warm, checkpoint-restored run.  Without spans this is a
-    plain ``finish()``; a pause is invisible in the result."""
+    """Run ``kernel`` to completion inside the open ``engine.advance`` or
+    ``st.reference`` span, timing two children: ``engine.warm`` (the
+    cache warmup, a step to cycle 0) and ``engine.loop`` (the rest).
+    ``warm=False`` is for an already warm, checkpoint-restored run.
+    Without spans this is a plain ``finish()``; a pause is invisible in
+    the result."""
     if spans is None:
         return kernel.finish()
     if warm:
@@ -187,9 +188,11 @@ def run_reference(
     max_cycles: int | None = None,
     livelock_window: int | None = None,
     on_timeout: str = "raise",
+    spans=None,
 ) -> SimResult:
     """Single-threaded reference run of a one-thread program on one core
-    of the same machine (no accounting hardware needed)."""
+    of the same machine (no accounting hardware needed).  ``spans``
+    times its ``engine.warm`` and ``engine.loop`` (see :func:`_advance`)."""
     if program.n_threads != 1:
         raise ValueError(
             "reference run expects the single-threaded program variant"
@@ -201,7 +204,7 @@ def run_reference(
         livelock_window=livelock_window,
         on_timeout=on_timeout,
     )
-    return kernel.finish()
+    return _advance(kernel, spans)
 
 
 def run_experiment(
@@ -234,6 +237,7 @@ def run_experiment(
                 max_cycles=max_cycles,
                 livelock_window=livelock_window,
                 on_timeout=on_timeout,
+                spans=spans,
             )
         ts = None if st_result.truncated else st_result.total_cycles
     with maybe_span(spans, "engine.advance", cat="cell"):
@@ -813,6 +817,7 @@ class BatchRunner:
                 max_cycles=self.policy.max_cycles,
                 livelock_window=self.policy.livelock_window,
                 on_timeout="truncate",
+                spans=self.spans,
             )
             self._st_cache[key] = st_result
         return st_result

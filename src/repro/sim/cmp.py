@@ -10,7 +10,9 @@ where streaming threads would wipe every core's hot L1 data through the
 shared cache.  The execution engine calls :meth:`Chip.load`, :meth:`Chip.store`
 and :meth:`Chip.compute` as the running thread's ops demand; each call
 returns the number of cycles the core should advance (stall cycles; the
-dispatch cost of instructions is charged by the engine itself).
+dispatch cost of instructions is charged by the engine itself).  Their
+L1-hit case the engine runs inline, on the state
+:meth:`Chip.l1_hit_path` exposes.
 
 Out-of-order behaviour is captured with an interval model:
 
@@ -31,6 +33,7 @@ Out-of-order behaviour is captured with an interval model:
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
+from typing import NamedTuple
 
 from repro.accounting.interface import NULL_ACCOUNTANT
 from repro.config import MachineConfig
@@ -94,6 +97,32 @@ class _CoreMemState:
     def __init__(self) -> None:
         self.outstanding: list[_OutstandingMiss] = []
         self.insts_since_first = 0
+
+
+class L1HitPath(NamedTuple):
+    """What :meth:`Chip.l1_hit_path` hands the engine; per-core lists
+    are indexed by core id."""
+
+    #: per core, the L1's list of sets (``line -> dirty``, LRU first)
+    sets: list
+    #: per core, the L1 itself (for its ``n_hits`` counter)
+    caches: list
+    line_shift: int
+    set_mask: int
+    #: the replacement policy moves a hit line to the MRU end
+    promote: bool
+    hit_latency: int
+    #: the stall of an independent L1 hit
+    hit_stall: int
+    stats: list
+    #: per core, the in-flight miss window (``.outstanding``)
+    mem_state: list
+    #: the directory's ``line -> sharer cores``
+    sharers: dict
+    #: the directory's ``word -> (version, writer)``
+    word_versions: dict
+    #: the accountant's per-core spin detectors (None when unaccounted)
+    spin_detectors: list | None
 
 
 class Chip:
@@ -241,6 +270,34 @@ class Chip:
 
     def has_outstanding(self, core_id: int) -> bool:
         return bool(self._mem_state[core_id].outstanding)
+
+    def l1_hit_path(self) -> L1HitPath:
+        """The state the engine's inline L1-hit path reads and writes.
+
+        The engine binds it once per ``run()`` and handles the hit case
+        of :meth:`load`, :meth:`store` and :meth:`compute` itself when
+        the core has no outstanding miss (and, for a store, no peer
+        sharer), updating exactly what these methods would.  Every
+        other case calls them.  The containers are live: rebind after
+        :meth:`load_state_dict`, which replaces some of them.
+        """
+        accountant = self.accountant
+        return L1HitPath(
+            sets=[cache._sets for cache in self.l1d],
+            caches=self.l1d,
+            line_shift=self._l1_line_shift,
+            set_mask=self.l1d[0]._set_mask,
+            promote=self.l1d[0]._promote_on_hit,
+            hit_latency=self.machine.l1d.hit_latency,
+            hit_stall=self._l1_stall,
+            stats=self.stats,
+            mem_state=self._mem_state,
+            sharers=self.directory._sharers,
+            word_versions=self.directory._word_versions,
+            spin_detectors=(
+                accountant.spin_detectors if accountant.enabled else None
+            ),
+        )
 
     # ------------------------------------------------------------------
     # internals

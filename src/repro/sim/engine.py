@@ -16,7 +16,14 @@ so only they are re-keyed; the heap is rebuilt from the cores at every
 :meth:`Simulation.run` entry and is not part of the checkpointed state.
 Plain compute/memory ops of a running thread execute in a fused block
 inside :meth:`Simulation.run`, which keeps going while the core stays
-strictly earliest (before the next core's time, the *horizon*).
+strictly earliest (before the next core's time, the *horizon*).  About
+95% of memory ops hit the L1, so the block runs the hit case inline: a
+load or compute op while the core has no miss in flight, and a store
+that also has no peer sharer to invalidate, update the same counters,
+LRU order, dirty bits, word versions and spin-detector table as
+:meth:`~repro.sim.cmp.Chip.load`/``store``/``compute``, which still
+serve every other case and are the reference the inline path is tested
+against.
 
 The engine also embodies the OS model: per-core run queues, round-robin
 thread placement, timeslice preemption, and futex-style block/wakeup
@@ -80,6 +87,12 @@ from repro.workloads.program import (
 )
 
 _INFINITY = float("inf")
+
+#: what the inline L1-hit path reads for a word no store has written
+#: (``CoherenceDirectory.load_value``'s and ``record_store``'s defaults)
+_UNWRITTEN = (-1, -1)
+_NEVER_STORED = (0, -1)
+_NO_SHARERS = frozenset()
 
 #: sentinel distinguishing "generator exhausted" from a yielded None
 #: during checkpoint-restore op replay
@@ -157,6 +170,11 @@ class SimResult:
 
 class Simulation:
     """Execute a :class:`Program` on a simulated CMP."""
+
+    #: run plain ops that hit the L1 inline in the fused op block; the
+    #: tests set it False to send every op through the chip's methods,
+    #: the reference the inline path must match
+    _l1_fast_path = True
 
     def __init__(
         self,
@@ -295,8 +313,23 @@ class Simulation:
         cores = self.cores
         chip = self.chip
         compute, load, store = chip.compute, chip.load, chip.store
-        stats = chip.stats
         width = self._width
+        # State of the fused op block's inline L1-hit path (module
+        # docstring); misses and everything else call the chip.
+        l1_fast = self._l1_fast_path
+        hit = chip.l1_hit_path()
+        line_shift, set_mask, promote = (
+            hit.line_shift, hit.set_mask, hit.promote
+        )
+        hit_latency, hit_stall = hit.hit_latency, hit.hit_stall
+        sharers_of, word_versions = hit.sharers, hit.word_versions
+        # one tuple per core: a block is often a single op, so its
+        # set-up is one unpack
+        per_core = list(zip(
+            hit.stats, hit.mem_state, hit.sets, hit.caches,
+            [{cid} for cid in range(len(cores))],
+        ))
+        detectors = hit.spin_detectors or [None] * len(cores)
         heap = self._rebuild_frontier()
         version = self._version
         while self._n_finished < n_threads:
@@ -360,10 +393,20 @@ class Simulation:
                 # the watchdog sees the same step index and state as
                 # one op per iteration would give.  A sync op or the
                 # end of the stream ends the block.
+                #
+                # An op that hits the L1 while the core has no miss in
+                # flight (a store: and no peer holds the line) runs
+                # inline, updating what Chip.load/store/compute would;
+                # only a chip call can put a miss in flight, so ``fast``
+                # is re-read after each.  The spin detector is bound
+                # here, so a swap between runs takes effect.
                 horizon = limit if fast_forward and not core.queue else 0
                 body = thread.body
                 block_start = now
                 ops = instrs = 0
+                cstats, mstate, lines_of, l1, mine = per_core[cid]
+                detector = detectors[cid]
+                fast = l1_fast and not mstate.outstanding
                 while True:
                     op = next(body, None)
                     if op is None:
@@ -372,17 +415,64 @@ class Simulation:
                     if tag == TAG_COMPUTE:
                         n = op.n
                         instrs += n
-                        now += -(-n // width) + compute(cid, n, now)
+                        if fast:
+                            cstats.instrs += n
+                            now += -(-n // width)
+                        else:
+                            now += -(-n // width) + compute(cid, n, now)
+                            fast = l1_fast and not mstate.outstanding
                     elif tag == TAG_LOAD:
                         instrs += 1
-                        now += 1 + load(
-                            cid, op.addr, op.pc, now,
-                            overlappable=op.overlappable,
-                            dependent=op.dependent,
-                        )
+                        addr = op.addr
+                        line = addr >> line_shift
+                        lines = lines_of[line & set_mask]
+                        if fast and line in lines:
+                            cstats.instrs += 1
+                            cstats.loads += 1
+                            if detector is not None:
+                                value, writer = word_versions.get(
+                                    addr & -8, _UNWRITTEN
+                                )
+                                detector.on_load(
+                                    op.pc, addr, value, writer, now, cid
+                                )
+                            if promote:
+                                lines.move_to_end(line)
+                            l1.n_hits += 1
+                            cstats.l1_hits += 1
+                            stall = hit_latency if op.dependent else hit_stall
+                            cstats.stall_cycles += stall
+                            now += 1 + stall
+                        else:
+                            now += 1 + load(
+                                cid, addr, op.pc, now,
+                                overlappable=op.overlappable,
+                                dependent=op.dependent,
+                            )
+                            fast = l1_fast and not mstate.outstanding
                     elif tag == TAG_STORE:
                         instrs += 1
-                        now += 1 + store(cid, op.addr, op.pc, now)
+                        addr = op.addr
+                        line = addr >> line_shift
+                        lines = lines_of[line & set_mask]
+                        if (fast and line in lines
+                                and sharers_of.get(line, _NO_SHARERS) <= mine):
+                            cstats.instrs += 1
+                            cstats.stores += 1
+                            word = addr & -8
+                            word_versions[word] = (
+                                word_versions.get(word, _NEVER_STORED)[0] + 1,
+                                cid,
+                            )
+                            if promote:
+                                lines.move_to_end(line)
+                            l1.n_hits += 1
+                            cstats.l1_hits += 1
+                            lines[line] = True
+                            now += 1
+                        else:
+                            now += 1 + store(cid, addr, op.pc, now)
+                            fast = l1_fast and not mstate.outstanding
                     else:
                         break
                     ops += 1
@@ -402,7 +492,7 @@ class Simulation:
                     self._execute_sync_op(core, thread, op, tag)
                 delta = core.now - block_start
                 core.busy_cycles += delta
-                stats[cid].busy_cycles += delta
+                cstats.busy_cycles += delta
                 if core.queue:
                     self._maybe_preempt(core)
             # Re-key the stepped core (wakeups re-keyed their targets).

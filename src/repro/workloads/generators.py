@@ -9,6 +9,11 @@ colliding on bank 0.
 
 All randomness comes from :class:`random.Random` instances seeded from
 ``(benchmark name, thread id)``, so every simulation is reproducible.
+A uniform line index is drawn with the rejection loop that
+``Random.randrange(n)`` runs on CPython 3.11 and 3.12 (``getrandbits``
+of ``n.bit_length()`` bits until the draw is below ``n``), written out
+inline: the same values and RNG state, without randrange's three Python
+frames per draw.
 """
 
 from __future__ import annotations
@@ -58,13 +63,20 @@ class AddressStream:
         self.stride = stride
         self._cursor = 0
         self._n_lines = size_bytes // LINE
+        self._bits = self._n_lines.bit_length()
+        self._random = rng.random
+        self._getrandbits = rng.getrandbits
 
     def next_addr(self) -> int:
-        if self.rng.random() < self.stride_fraction:
+        if self._random() < self.stride_fraction:
             addr = self.base + self._cursor
             self._cursor = (self._cursor + self.stride) % self.size
             return addr
-        line = self.rng.randrange(self._n_lines)
+        # rng.randrange(self._n_lines), inlined (module docstring)
+        n, bits = self._n_lines, self._bits
+        line = self._getrandbits(bits)
+        while line >= n:
+            line = self._getrandbits(bits)
         return self.base + line * LINE
 
 
@@ -90,12 +102,19 @@ class SharedStream:
         self.hot_fraction = hot_fraction
         self._n_lines = size_bytes // LINE
         self._hot_lines = min(hot_lines, self._n_lines)
+        self._random = rng.random
+        self._getrandbits = rng.getrandbits
 
     def next_addr(self) -> int:
-        if self.rng.random() < self.hot_fraction:
-            line = self.rng.randrange(self._hot_lines)
+        if self._random() < self.hot_fraction:
+            n = self._hot_lines
         else:
-            line = self.rng.randrange(self._n_lines)
+            n = self._n_lines
+        # rng.randrange(n), inlined (module docstring)
+        bits = n.bit_length()
+        line = self._getrandbits(bits)
+        while line >= n:
+            line = self._getrandbits(bits)
         return SHARED_BASE + line * LINE
 
 

@@ -289,7 +289,9 @@ def _thread_body(spec: BenchmarkSpec, tid: int, n_threads: int):
                 sub = max(1, compute_budget // n_mem)
                 emitted = 0
                 for _ in range(n_mem):
-                    step = min(sub, compute_budget - emitted)
+                    step = compute_budget - emitted
+                    if step > sub:
+                        step = sub
                     if step > 0:
                         yield compute[step]
                         emitted += step
@@ -362,8 +364,7 @@ def _mem_access_fn(spec: BenchmarkSpec, rng: random.Random, private, shared,
                 dependent_fraction > 0 and random_() < dependent_fraction
             )
             return Load(
-                cold.next_addr(), PC_WORK_LOAD,
-                overlappable=not dependent, dependent=dependent,
+                cold.next_addr(), PC_WORK_LOAD, not dependent, dependent
             )
         addr = next_private()
         if random_() < store_fraction:
@@ -373,8 +374,7 @@ def _mem_access_fn(spec: BenchmarkSpec, rng: random.Random, private, shared,
                 addr = FALSE_SHARING_BASE + line * g.LINE + false_sharing_word
             return Store(addr, PC_WORK_STORE)
         dependent = dependent_fraction > 0 and random_() < dependent_fraction
-        return Load(
-            addr, PC_WORK_LOAD, overlappable=not dependent, dependent=dependent
-        )
+        # positional: keyword arguments cost more per call
+        return Load(addr, PC_WORK_LOAD, not dependent, dependent)
 
     return mem_access

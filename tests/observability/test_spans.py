@@ -202,14 +202,19 @@ class TestValidation:
 
 
 class TestEngineAdvanceChildren:
-    """``engine.advance`` splits into ``engine.warm`` (cache warmup) and
-    ``engine.loop`` (the scheduling loop) on both cell paths."""
+    """``engine.advance`` and ``st.reference`` split into ``engine.warm``
+    (cache warmup) and ``engine.loop`` (the scheduling loop) on both
+    cell paths."""
 
     @staticmethod
     def _check(rows):
         by_id = {row["id"]: row for row in rows}
-        advances = [row for row in rows if row["name"] == "engine.advance"]
-        assert advances
+        for name in ("engine.advance", "st.reference"):
+            assert any(row["name"] == name for row in rows), name
+        advances = [
+            row for row in rows
+            if row["name"] in ("engine.advance", "st.reference")
+        ]
         for advance in advances:
             children = {
                 row["name"]: row for row in rows
@@ -233,10 +238,14 @@ class TestEngineAdvanceChildren:
     def test_run_experiment(self):
         from repro.experiments.runner import run_experiment
 
+        from repro.workloads.spec import build_program
+
         spec, machine, program = self._cell()
+        st_program = build_program(spec, 1, scale=0.05)
         recorder = SpanRecorder()
         with recorder.span(f"{spec.full_name}:2", cat="cell"):
-            run_experiment(spec.full_name, machine, program, spans=recorder)
+            run_experiment(spec.full_name, machine, program, st_program,
+                           spans=recorder)
         self._check(recorder.to_dicts())
 
     def test_batch_runner(self):

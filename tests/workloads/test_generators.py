@@ -131,3 +131,55 @@ class TestChunks:
         parts = list(g.chunks(total, chunk))
         assert sum(parts) == total
         assert all(0 < p <= chunk for p in parts)
+
+
+def _sampler_sizes() -> list[int]:
+    """1, 2, 3, 2^k and 2^k +- 1, and every line count of a suite
+    working set (private, shared and cold regions)."""
+    from repro.workloads.suite import SUITE
+
+    sizes = {1, 2, 3}
+    for k in (2, 3, 6, 9, 12, 16):
+        sizes.update((2**k - 1, 2**k, 2**k + 1))
+    for spec in SUITE:
+        for kb in (spec.private_ws_kb, spec.shared_ws_kb, spec.cold_ws_kb):
+            if kb:
+                sizes.add(kb * 1024 // g.LINE)
+    return sorted(sizes)
+
+
+class TestInlineSampler:
+    """The streams draw line indices with randrange's rejection loop
+    written out; it must match ``random.Random.randrange`` draw for draw
+    and leave the generator in the same state, or every op stream moves
+    (tests/workloads/test_op_stream_pin.py)."""
+
+    DRAWS = 64
+
+    @pytest.mark.parametrize("n", _sampler_sizes())
+    @pytest.mark.parametrize("seed", [0, 1, 12345])
+    def test_address_stream_matches_randrange(self, n, seed):
+        rng, ref = random.Random(seed), random.Random(seed)
+        stream = g.AddressStream(0, n * g.LINE, rng, stride_fraction=0.0)
+        drawn = [stream.next_addr() for __ in range(self.DRAWS)]
+        expected = []
+        for __ in range(self.DRAWS):
+            ref.random()
+            expected.append(ref.randrange(n) * g.LINE)
+        assert drawn == expected
+        assert rng.getstate() == ref.getstate()
+
+    @pytest.mark.parametrize("n", _sampler_sizes())
+    @pytest.mark.parametrize("hot_fraction", [0.0, 1.0])
+    @pytest.mark.parametrize("seed", [0, 1, 12345])
+    def test_shared_stream_matches_randrange(self, n, hot_fraction, seed):
+        rng, ref = random.Random(seed), random.Random(seed)
+        stream = g.SharedStream(n * g.LINE, rng, hot_fraction=hot_fraction)
+        bound = min(512, n) if hot_fraction else n
+        drawn = [stream.next_addr() for __ in range(self.DRAWS)]
+        expected = []
+        for __ in range(self.DRAWS):
+            ref.random()
+            expected.append(g.SHARED_BASE + ref.randrange(bound) * g.LINE)
+        assert drawn == expected
+        assert rng.getstate() == ref.getstate()
